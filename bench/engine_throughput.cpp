@@ -10,16 +10,6 @@
 // the combined effect of the two engine features this bench exists to
 // measure: parallel sketch tasks and cross-run cache reuse.
 //
-// Further cold/warm pairs then repeat the same corpus against caches
-// capped at each entry count in REGEL_CACHE_CAP (second-chance-evicted):
-// the capped_vs_uncapped rows of BENCH_engine.json report how much
-// warm-pass hit rate a bounded store gives up and that the store size
-// actually held the cap — the trade a long-lived serving process makes
-// for bounded memory. The default sweep pairs a tight cap (1000 ~ 4% of
-// this corpus's ~24k-DFA working set, where eviction churn is constant)
-// with one sized to the working set (24000, where retention stays within
-// 20% of unbounded).
-//
 // A final fairness section measures what priority scheduling buys: a
 // saturating Batch-class fan-out churns while Interactive-class queries
 // arrive at a fixed cadence, once on a FIFO pool and once on the weighted
@@ -33,8 +23,6 @@
 //   REGEL_BENCH_LIMIT        max benchmarks per dataset (default 25, 0 = all)
 //   REGEL_BENCH_BUDGET_MS    per-job deadline (default 1500)
 //   REGEL_ENGINE_THREADS     workers in the multi-threaded pass (default 2)
-//   REGEL_CACHE_CAP          comma-separated entry caps for the capped
-//                            passes (default "1000,24000", empty/0 skips)
 //   REGEL_FAIRNESS_BATCH     batch jobs in the fairness passes
 //                            (default 100, 0 skips the section)
 //   REGEL_FAIRNESS_BATCH_MS  per-batch-job budget (default 150)
@@ -48,24 +36,12 @@
 //                            0 skips)
 //   REGEL_SMT_CACHE          0 skips the smt_cache_on_vs_off section
 //                            (default 1)
-//   REGEL_DFA_TIER           0 skips the dfa_tier_on_vs_off section
-//                            (default 1)
 //
 // The smt_cache_on_vs_off section repeats the corpus cold+warm with the
 // SMT verdict store detached (EngineConfig::SmtMemo=false) and compares
 // against the main passes (store attached): warm-pass solver searches
 // actually executed, and the warm check hit rate, with the cache on vs
 // off — what cross-run verdict memoization buys a persistent server.
-//
-// The dfa_tier_on_vs_off section measures the shared DFA tier
-// (src/dfad/) on the spilled-job scenario: shard A serves the corpus,
-// then the same workload lands on shard B with cold caches of its own.
-// Tier off, B recompiles A's whole working set (today's duplication);
-// tier on, both shards share one DfaTierStore and B is served parsed
-// blobs. Engine-local stores in the tier fleet are capped at a quarter
-// of the measured single-shard working set — the tier owns the full set
-// once — so the section also reports aggregate DFA store occupancy at
-// N=2 shards against the 2x-single-shard duplication baseline.
 //
 // A final overload section (`shedding_overload` in the JSON) runs the
 // same SLA-overload twice — deadline-aware shedding off ("lazy", the
@@ -78,7 +54,6 @@
 #include "common/BenchUtil.h"
 
 #include "data/DeepRegexSet.h"
-#include "dfad/Tier.h"
 #include "engine/Engine.h"
 #include "obs/Metrics.h"
 #include "regex/Parser.h"
@@ -435,8 +410,6 @@ struct PassReport {
   double P99Ms = 0;
   double ExecP50Ms = 0; ///< first task start -> done
   double ExecP95Ms = 0;
-  double DfaHitRate = 0; ///< shared-store hit rate of THIS pass (delta)
-  double DfaResolutionRate = 0; ///< end-to-end: 1 - compiles/gets
   /// Share of this pass's satisfiability checks answered by the verdict
   /// store (pass-local: each pass gets a fresh engine, so the engine-
   /// summed SmtCacheHits/SmtSolves are already per-pass deltas).
@@ -451,13 +424,11 @@ struct PassReport {
 PassReport runPass(unsigned Threads,
                    const std::shared_ptr<engine::SharedCaches> &Caches,
                    const std::vector<data::Benchmark> &Corpus,
-                   int64_t BudgetMs, bool SmtMemo = true,
-                   std::shared_ptr<dfad::DfaTierClient> Tier = nullptr) {
+                   int64_t BudgetMs, bool SmtMemo = true) {
   engine::EngineConfig EC;
   EC.Threads = Threads;
   EC.Caches = Caches;
   EC.SmtMemo = SmtMemo;
-  EC.TierClient = std::move(Tier);
   engine::Engine Eng(EC);
 
   std::vector<engine::JobRequest> Requests;
@@ -471,10 +442,6 @@ PassReport runPass(unsigned Threads,
     R.Tag = B.Id;
     Requests.push_back(std::move(R));
   }
-
-  // The caches outlive the engine, so per-pass hit rates need deltas.
-  const uint64_t DfaHits0 = Caches->Dfa.hits();
-  const uint64_t DfaMisses0 = Caches->Dfa.misses();
 
   Stopwatch Wall;
   // Submit the whole corpus, then drain it through the completion queue:
@@ -520,15 +487,8 @@ PassReport runPass(unsigned Threads,
   Rep.ExecP95Ms = percentile(ExecLatencies, 0.95);
   Rep.Stats = Eng.snapshot();
   Rep.MetricsText = Eng.metricsText();
-  const uint64_t DfaHits = Caches->Dfa.hits() - DfaHits0;
-  const uint64_t DfaLookups = DfaHits + (Caches->Dfa.misses() - DfaMisses0);
-  Rep.DfaHitRate = DfaLookups
-                       ? static_cast<double>(DfaHits) /
-                             static_cast<double>(DfaLookups)
-                       : 0.0;
   // Engine stats are per-engine and each pass gets a fresh engine, so the
   // snapshot's synth counters are already pass-local.
-  Rep.DfaResolutionRate = Rep.Stats.dfaResolutionRate();
   const uint64_t SmtChecks = Rep.Stats.SmtCacheHits + Rep.Stats.SmtSolves;
   Rep.SmtCheckHitRate = SmtChecks ? static_cast<double>(Rep.Stats.SmtCacheHits) /
                                         static_cast<double>(SmtChecks)
@@ -544,13 +504,11 @@ void appendPassJson(std::string &Out, const PassReport &R) {
                 "\"p50_ms\":%.1f,\"p90_ms\":%.1f,\"p95_ms\":%.1f,"
                 "\"p99_ms\":%.1f,"
                 "\"exec_p50_ms\":%.1f,\"exec_p95_ms\":%.1f,"
-                "\"dfa_store_hit_rate\":%.3f,"
-                "\"dfa_resolution_rate\":%.4f,"
                 "\"smt_check_hit_rate\":%.3f,\n"
                 "     \"engine\":",
                 R.Threads, R.Jobs, R.Solved, R.WallMs, R.JobsPerSec, R.P50Ms,
                 R.P90Ms, R.P95Ms, R.P99Ms, R.ExecP50Ms, R.ExecP95Ms,
-                R.DfaHitRate, R.DfaResolutionRate, R.SmtCheckHitRate);
+                R.SmtCheckHitRate);
   Out += Buf;
   Out += R.Stats.toJson();
   Out += "}";
@@ -564,22 +522,6 @@ int main() {
   const int64_t BudgetMs = envInt("REGEL_BENCH_BUDGET_MS", 1500);
   const unsigned Threads = std::max<unsigned>(
       2, static_cast<unsigned>(envInt("REGEL_ENGINE_THREADS", 2)));
-  std::vector<size_t> CacheCaps;
-  {
-    const char *Env = std::getenv("REGEL_CACHE_CAP");
-    std::string Spec = Env ? Env : "1000,24000";
-    size_t Pos = 0;
-    while (Pos < Spec.size()) {
-      size_t Comma = Spec.find(',', Pos);
-      if (Comma == std::string::npos)
-        Comma = Spec.size();
-      long long Cap = std::atoll(Spec.substr(Pos, Comma - Pos).c_str());
-      if (Cap > 0)
-        CacheCaps.push_back(static_cast<size_t>(Cap));
-      Pos = Comma + 1;
-    }
-  }
-
   std::printf("loading corpora...\n");
   std::vector<data::Benchmark> Corpus = limited(data::deepRegexSet(), Limit);
   const size_t DeepCount = Corpus.size();
@@ -590,7 +532,7 @@ int main() {
               DeepCount, SoCount, Corpus.size());
 
   // Both passes share the cross-run caches (a persistent server is always
-  // warm); the single-worker pass runs first and pays the compilations.
+  // warm); the single-worker pass runs first and fills them.
   auto Caches = std::make_shared<engine::SharedCaches>(16);
 
   std::printf("pass 1: 1 worker (cold caches)...\n");
@@ -621,81 +563,6 @@ int main() {
                 Single.JobsPerSec > 0 ? Multi.JobsPerSec / Single.JobsPerSec
                                       : 0.0);
   Json += Buf;
-
-  if (!CacheCaps.empty())
-    Json += ",\n  \"capped_vs_uncapped\": [\n";
-  unsigned PassNo = 3;
-  for (size_t CapIdx = 0; CapIdx < CacheCaps.size(); ++CapIdx) {
-    // Capped run: same corpus, fresh caches bounded to CacheCap entries
-    // per store. The warm pass's hit rate against the uncapped warm pass
-    // is the cost of bounded memory; the store size shows the cap held.
-    const size_t CacheCap = CacheCaps[CapIdx];
-    engine::CacheLimits Capped;
-    Capped.MaxEntries = CacheCap;
-    auto CappedCaches =
-        std::make_shared<engine::SharedCaches>(16, Capped, Capped);
-
-    std::printf("pass %u: 1 worker (cold, caches capped at %zu)...\n",
-                PassNo++, CacheCap);
-    PassReport CappedCold = runPass(1, CappedCaches, Corpus, BudgetMs);
-    std::printf("  %.2f jobs/sec, dfa store %llu/%zu entries\n",
-                CappedCold.JobsPerSec,
-                (unsigned long long)CappedCold.Stats.DfaStoreSize, CacheCap);
-
-    std::printf("pass %u: %u workers (warm, capped at %zu)...\n", PassNo++,
-                Threads, CacheCap);
-    PassReport CappedWarm = runPass(Threads, CappedCaches, Corpus, BudgetMs);
-    const double StoreRatio = Multi.DfaHitRate > 0
-                                  ? CappedWarm.DfaHitRate / Multi.DfaHitRate
-                                  : 0.0;
-    const double ResolutionRatio =
-        Multi.DfaResolutionRate > 0
-            ? CappedWarm.DfaResolutionRate / Multi.DfaResolutionRate
-            : 0.0;
-    std::printf("  %.2f jobs/sec, warm dfa resolution %.4f (uncapped %.4f, "
-                "ratio %.3f); store hit rate %.3f (uncapped %.3f), "
-                "%llu evictions\n",
-                CappedWarm.JobsPerSec, CappedWarm.DfaResolutionRate,
-                Multi.DfaResolutionRate, ResolutionRatio,
-                CappedWarm.DfaHitRate, Multi.DfaHitRate,
-                (unsigned long long)CappedWarm.Stats.DfaStoreEvictions);
-    const bool CapHeld = CappedWarm.Stats.DfaStoreSize <= CacheCap &&
-                         CappedCold.Stats.DfaStoreSize <= CacheCap;
-    if (!CapHeld)
-      std::printf("WARNING: capped store exceeded its cap\n");
-    if (Multi.DfaResolutionRate > 0 && ResolutionRatio < 0.8)
-      std::printf("note: cap %zu trades >20%% of the warm DFA resolution "
-                  "rate for bounded memory (working set exceeds the cap)\n",
-                  CacheCap);
-
-    Json += "    {\n";
-    std::snprintf(Buf, sizeof(Buf),
-                  "    \"dfa_cap_entries\": %zu,\n    \"passes\": [\n",
-                  CacheCap);
-    Json += Buf;
-    appendPassJson(Json, CappedCold);
-    Json += ",\n";
-    appendPassJson(Json, CappedWarm);
-    Json += "\n    ],\n";
-    std::snprintf(
-        Buf, sizeof(Buf),
-        "    \"dfa_store_size\": %llu,\n"
-        "    \"dfa_store_evictions\": %llu,\n"
-        "    \"cap_held\": %s,\n"
-        "    \"warm_dfa_resolution_rate\": %.4f,\n"
-        "    \"uncapped_warm_dfa_resolution_rate\": %.4f,\n"
-        "    \"warm_resolution_rate_ratio\": %.3f,\n"
-        "    \"warm_dfa_store_hit_rate\": %.3f,\n"
-        "    \"uncapped_warm_dfa_store_hit_rate\": %.3f,\n"
-        "    \"warm_store_hit_rate_ratio\": %.3f\n    }",
-        (unsigned long long)CappedWarm.Stats.DfaStoreSize,
-        (unsigned long long)CappedWarm.Stats.DfaStoreEvictions,
-        CapHeld ? "true" : "false", CappedWarm.DfaResolutionRate,
-        Multi.DfaResolutionRate, ResolutionRatio, CappedWarm.DfaHitRate,
-        Multi.DfaHitRate, StoreRatio);
-    Json += Buf;
-    Json += CapIdx + 1 < CacheCaps.size() ? ",\n" : "\n  ]";
-  }
 
   // SMT verdict cache: the same corpus cold+warm with the store DETACHED.
   // The main passes (store attached, shared caches) are the "on" side;
@@ -749,103 +616,6 @@ int main() {
     appendPassJson(Json, OffCold);
     Json += ",\n";
     appendPassJson(Json, OffWarm);
-    Json += "\n    ]\n  }";
-  }
-
-  // Shared DFA tier (src/dfad/): the spilled-job scenario. Shard A serves
-  // the corpus's affinity traffic, then the identical workload lands on
-  // shard B with cold caches of its own. Tier off is today's duplication
-  // (B recompiles A's working set); tier on shares one DfaTierStore, so
-  // B's compiles become tier fetches. The tier fleet caps each engine's
-  // local store at a quarter of the measured single-shard working set —
-  // single-copy ownership lives in the tier — which is what keeps the
-  // 2-shard aggregate occupancy under the 2x duplication baseline.
-  const bool RunDfaTier = envInt("REGEL_DFA_TIER", 1) != 0;
-  if (RunDfaTier) {
-    std::printf("dfa tier: spilled corpus onto a second shard, tier off "
-                "vs on...\n");
-    auto OffACaches = std::make_shared<engine::SharedCaches>(16);
-    PassReport OffA = runPass(Threads, OffACaches, Corpus, BudgetMs);
-    auto OffBCaches = std::make_shared<engine::SharedCaches>(16);
-    PassReport OffB = runPass(Threads, OffBCaches, Corpus, BudgetMs);
-
-    const uint64_t SingleShardEntries = OffA.Stats.DfaStoreSize;
-    engine::CacheLimits TierLocal;
-    TierLocal.MaxEntries =
-        std::max<uint64_t>(1, SingleShardEntries / 4);
-    auto Tier = std::make_shared<dfad::DfaTierStore>(16);
-    auto OnACaches =
-        std::make_shared<engine::SharedCaches>(16, TierLocal);
-    PassReport OnA = runPass(Threads, OnACaches, Corpus, BudgetMs,
-                             /*SmtMemo=*/true,
-                             std::make_shared<dfad::LocalDfaTier>(Tier));
-    auto OnBCaches =
-        std::make_shared<engine::SharedCaches>(16, TierLocal);
-    PassReport OnB = runPass(Threads, OnBCaches, Corpus, BudgetMs,
-                             /*SmtMemo=*/true,
-                             std::make_shared<dfad::LocalDfaTier>(Tier));
-
-    const uint64_t AggOn = OnA.Stats.DfaStoreSize + OnB.Stats.DfaStoreSize +
-                           Tier->size();
-    const uint64_t AggOff = OffA.Stats.DfaStoreSize + OffB.Stats.DfaStoreSize;
-    const double OccupancyVsSingle =
-        SingleShardEntries
-            ? static_cast<double>(AggOn) /
-                  static_cast<double>(SingleShardEntries)
-            : 0.0;
-    const bool Below2x = AggOn < 2 * SingleShardEntries;
-    const double TierHitShare =
-        OnB.Stats.DfaGets
-            ? static_cast<double>(OnB.Stats.DfaTierHits) /
-                  static_cast<double>(OnB.Stats.DfaGets)
-            : 0.0;
-    std::printf("  spilled shard: %llu compiles with tier vs %llu cold "
-                "(resolution %.4f vs %.4f; %.3f of gets tier-served)\n",
-                (unsigned long long)OnB.Stats.DfaCompiles,
-                (unsigned long long)OffB.Stats.DfaCompiles,
-                OnB.DfaResolutionRate, OffB.DfaResolutionRate, TierHitShare);
-    std::printf("  occupancy: %llu + %llu local + %zu tier = %llu entries "
-                "at 2 shards vs %llu duplicated (%.2fx single shard)\n",
-                (unsigned long long)OnA.Stats.DfaStoreSize,
-                (unsigned long long)OnB.Stats.DfaStoreSize, Tier->size(),
-                (unsigned long long)AggOn, (unsigned long long)AggOff,
-                OccupancyVsSingle);
-    if (OnB.Stats.DfaCompiles >= OffB.Stats.DfaCompiles)
-      std::printf("WARNING: tier did not reduce spilled-shard compiles\n");
-    if (!Below2x)
-      std::printf("WARNING: tier fleet occupancy not below 2x single "
-                  "shard\n");
-
-    char TierBuf[1024];
-    std::snprintf(
-        TierBuf, sizeof(TierBuf),
-        ",\n  \"dfa_tier_on_vs_off\": {\n"
-        "    \"spilled_warm_dfa_resolution_rate_tier_on\": %.4f,\n"
-        "    \"spilled_warm_dfa_resolution_rate_tier_off\": %.4f,\n"
-        "    \"spilled_dfa_compiles_tier_on\": %llu,\n"
-        "    \"spilled_dfa_compiles_tier_off\": %llu,\n"
-        "    \"spilled_tier_hit_share\": %.4f,\n"
-        "    \"tier_entries\": %zu,\n"
-        "    \"tier_blob_bytes\": %llu,\n"
-        "    \"local_cap_entries\": %llu,\n"
-        "    \"single_shard_store_entries\": %llu,\n"
-        "    \"aggregate_store_entries_tier_on\": %llu,\n"
-        "    \"aggregate_store_entries_tier_off\": %llu,\n"
-        "    \"occupancy_vs_single_shard\": %.3f,\n"
-        "    \"occupancy_below_2x_single_shard\": %s,\n"
-        "    \"passes_on\": [\n",
-        OnB.DfaResolutionRate, OffB.DfaResolutionRate,
-        (unsigned long long)OnB.Stats.DfaCompiles,
-        (unsigned long long)OffB.Stats.DfaCompiles, TierHitShare,
-        Tier->size(), (unsigned long long)Tier->blobBytes(),
-        (unsigned long long)TierLocal.MaxEntries,
-        (unsigned long long)SingleShardEntries, (unsigned long long)AggOn,
-        (unsigned long long)AggOff, OccupancyVsSingle,
-        Below2x ? "true" : "false");
-    Json += TierBuf;
-    appendPassJson(Json, OnA);
-    Json += ",\n";
-    appendPassJson(Json, OnB);
     Json += "\n    ]\n  }";
   }
 

@@ -2,13 +2,13 @@
 //
 // Build & run:  ./build/examples/regel_server [port] [threads] [cache-cap]
 //                                             [high-water] [shed] [backends]
-//                                             [metrics-every] [dfa-tier]
+//                                             [metrics-every]
 //
 // The socket front-end over the async engine API (src/server): one
 // poll()-based event loop serves every TCP client on [port] (default 7411,
 // 0 = ephemeral — the chosen port is printed), while a persistent
 // engine::Engine runs the synthesis jobs, so worker threads and the
-// cross-run caches (regex->DFA, sketch approximations) stay warm between
+// cross-run caches (sketch approximations, SMT verdicts) stay warm between
 // queries. No thread blocks per outstanding job: `solve` submits and the
 // completion is pushed to the client when it lands, so thousands of
 // concurrent queries need only the loop thread plus the worker pool.
@@ -29,15 +29,6 @@
 // caches): jobs route by sketch-affinity hashing with least-estimated-
 // wait spillover — the in-process preview of the N-process sharded
 // deployment (see src/service/RouterService.h).
-//
-// With [dfa-tier] (default 0 = off) the engines share a DFA tier (see
-// src/dfad/): `1` hosts an in-process tier — every backend fetches
-// compiled-DFA blobs from (and publishes to) one bounded store, so a
-// spilled job finds the DFAs its home shard compiled, and the fleet
-// stores each distinct DFA once instead of once per backend; the tier is
-// also served to clients over the v2 `dfa get/put/stats` frames.
-// `host:port` instead points every engine at a standalone tier process
-// (examples/regel_dfad) over TCP.
 //
 // With [metrics-every] N > 0 (default 0 = off) the full Prometheus-style
 // metrics exposition is dumped to stdout every N seconds — a poor man's
@@ -60,8 +51,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "dfad/RemoteTier.h"
-#include "dfad/Tier.h"
 #include "engine/Engine.h"
 #include "server/SocketServer.h"
 #include "service/LocalService.h"
@@ -118,41 +107,17 @@ int main(int argc, char **argv) {
   long MetricsEverySec = 0; // >0 = periodic exposition dump to stdout
   if (argc > 7)
     MetricsEverySec = std::atol(argv[7]);
-  std::string DfaTierArg = "0"; // 0 = off, 1 = in-process, host:port = remote
-  if (argc > 8)
-    DfaTierArg = argv[8];
 
   engine::EngineConfig EC;
   EC.Threads = Threads;
-  // A long-lived server must bound its memo growth: cap both cross-run
-  // stores, and weigh the DFA store by automaton size so a few huge DFAs
-  // cannot hold the whole entry budget's worth of memory.
-  EC.DfaCacheLimits.MaxEntries = CacheCap;
-  EC.DfaCacheLimits.MaxCost =
-      CacheCap ? CacheCap * 2 * (1 + regel::AlphabetSize) : 0;
+  // A long-lived server must bound its memo growth: cap the cross-run
+  // approximation store.
   EC.ApproxCacheLimits.MaxEntries = CacheCap;
   EC.MaxQueueDepth = HighWater;
   // Deadline-aware admission: clients that set an `sla` get an instant
   // "shed" verdict when the estimator says the budget is hopeless, and
   // queued jobs expire the moment their SLA lapses.
   EC.DeadlineShedding = Shed;
-
-  // Shared DFA tier: every backend engine publishes its compiled DFAs to
-  // (and fetches cold misses from) one tier, so the fleet stores each
-  // distinct DFA once. In-process mode also serves the store over the v2
-  // `dfa` frames; remote mode points the engines at a regel_dfad process.
-  std::shared_ptr<dfad::DfaTierStore> TierStore;
-  if (DfaTierArg == "1") {
-    engine::CacheLimits TL;
-    TL.MaxEntries = CacheCap;
-    TierStore = std::make_shared<dfad::DfaTierStore>(16, TL);
-    EC.TierClient = std::make_shared<dfad::LocalDfaTier>(TierStore);
-  } else if (DfaTierArg.find(':') != std::string::npos) {
-    const size_t Colon = DfaTierArg.find(':');
-    EC.TierClient = std::make_shared<dfad::RemoteDfaTier>(
-        DfaTierArg.substr(0, Colon),
-        static_cast<uint16_t>(std::atoi(DfaTierArg.c_str() + Colon + 1)));
-  }
 
   // One engine per backend, each with its own capped caches and
   // admission knobs; a single backend skips the router entirely.
@@ -174,7 +139,6 @@ int main(int argc, char **argv) {
   SC.Defaults.NumSketches = 10;
   SC.Defaults.BudgetMs = 5000;
   SC.Defaults.TopK = 1;
-  SC.DfaTier = TierStore; // null unless hosting the in-process tier
 
   server::SocketServer Server(Parser, Svc, SC);
   if (!Server.start())
@@ -184,13 +148,10 @@ int main(int argc, char **argv) {
   std::signal(SIGTERM, onSignal);
 
   std::printf("regel_server: listening on %s:%u — %u backend%s x %u "
-              "workers, cache cap %zu, high-water %zu, shedding %s, "
-              "dfa tier %s\n",
+              "workers, cache cap %zu, high-water %zu, shedding %s\n",
               SC.BindAddr.c_str(), Server.port(), Backends,
               Backends == 1 ? "" : "s", Threads, CacheCap, HighWater,
-              Shed ? "on" : "off",
-              TierStore ? "in-process"
-                        : (EC.TierClient ? DfaTierArg.c_str() : "off"));
+              Shed ? "on" : "off");
   std::fflush(stdout);
 
   // Periodic exposition dump: one background thread, interruptible sleep

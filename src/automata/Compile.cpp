@@ -2,11 +2,6 @@
 
 #include "automata/Compile.h"
 
-#include "obs/Metrics.h"
-#include "obs/Probe.h"
-#include "obs/Trace.h"
-#include "support/Clock.h"
-
 #include <cassert>
 
 using namespace regel;
@@ -195,33 +190,10 @@ const Dfa &DfaCache::get(const RegexPtr &R) {
   auto It = Cache.find(R);
   if (It != Cache.end()) {
     ++Hits;
-    return *It->second;
+    return It->second;
   }
   ++Misses;
-  if (Shared) {
-    if (std::shared_ptr<const Dfa> D = Shared->lookup(R, Probe)) {
-      ++SharedHits;
-      auto [Ins, _] = Cache.emplace(R, std::move(D));
-      return *Ins->second;
-    }
-  }
-  // A compilation is actually paid: the one DfaCache event worth timing
-  // one-by-one (hits are counted, not timed — they are map lookups).
-  const bool Timed = Probe && Probe->Clk &&
-                     (Probe->DfaCompileUs || Probe->Trace);
-  const int64_t StartUs = Timed ? Probe->Clk->nowUs() : 0;
-  auto D = std::make_shared<const Dfa>(compileRegex(R));
-  if (Timed) {
-    const int64_t DurUs = Probe->Clk->nowUs() - StartUs;
-    if (Probe->DfaCompileUs)
-      Probe->DfaCompileUs->record(static_cast<uint64_t>(DurUs));
-    if (Probe->Trace)
-      Probe->Trace->span("dfa_compile", "dfa", StartUs, DurUs, Probe->Tid);
-  }
-  if (Shared)
-    Shared->publish(R, D);
-  auto [Ins, _] = Cache.emplace(R, std::move(D));
-  return *Ins->second;
+  return Cache.emplace(R, compileRegex(R)).first->second;
 }
 
 bool DfaCache::acceptsAll(const RegexPtr &R,

@@ -2,13 +2,6 @@
 
 #include "engine/Caches.h"
 
-#include "automata/Serialize.h"
-#include "dfad/Tier.h"
-#include "obs/Metrics.h"
-#include "obs/Probe.h"
-#include "obs/Trace.h"
-#include "regex/Printer.h"
-
 #include <algorithm>
 
 using namespace regel;
@@ -25,240 +18,6 @@ template <typename T> T perShard(T GlobalCap, size_t NumShards) {
 }
 
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// ShardedDfaStore
-//===----------------------------------------------------------------------===//
-
-ShardedDfaStore::ShardedDfaStore(unsigned NumShards, CacheLimits L)
-    : Limits(L) {
-  NumShards = std::max(1u, NumShards);
-  Shards.reserve(NumShards);
-  for (unsigned I = 0; I < NumShards; ++I)
-    Shards.push_back(std::make_unique<Shard>());
-  MaxEntriesPerShard = perShard(Limits.MaxEntries, Shards.size());
-  MaxCostPerShard = perShard(Limits.MaxCost, Shards.size());
-}
-
-ShardedDfaStore::Shard &ShardedDfaStore::shardFor(const RegexPtr &R) {
-  return *Shards[mix64(R->hash()) % Shards.size()];
-}
-
-void ShardedDfaStore::evictOverLocked(Shard &S) {
-  // Evict cold entries until both caps hold; a single
-  // DFA whose cost alone exceeds the shard's cost cap is evicted too (it
-  // would otherwise pin the shard over budget forever). Second chance: a
-  // hit-since-last-sweep entry reaching the cold end is recycled once
-  // (reference bit cleared) rather than evicted, so one-touch scan
-  // traffic cannot flush the re-referenced core. Recycles are bounded by
-  // the list length at entry, which guarantees termination.
-  size_t Chances = S.Lru.size();
-  while (!S.Lru.empty() &&
-         ((MaxEntriesPerShard && S.Map.size() > MaxEntriesPerShard) ||
-          (MaxCostPerShard && S.Cost > MaxCostPerShard))) {
-    Entry &Victim = S.Lru.back();
-    if (Victim.Hot && Chances > 0) {
-      --Chances;
-      Victim.Hot = false;
-      S.Lru.splice(S.Lru.begin(), S.Lru, std::prev(S.Lru.end()));
-      continue;
-    }
-    S.Cost -= Victim.Cost;
-    S.Map.erase(Victim.R);
-    S.Lru.pop_back();
-    Evictions.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-std::shared_ptr<const Dfa> ShardedDfaStore::lookup(const RegexPtr &R) {
-  Shard &S = shardFor(R);
-  MutexLock Guard(S.M);
-  auto It = S.Map.find(R);
-  if (It == S.Map.end()) {
-    Misses.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  Hits.fetch_add(1, std::memory_order_relaxed);
-  It->second->Hot = true;
-  S.Lru.splice(S.Lru.begin(), S.Lru, It->second); // LRU touch
-  return It->second->D;
-}
-
-void ShardedDfaStore::publish(const RegexPtr &R,
-                              std::shared_ptr<const Dfa> D) {
-  Shard &S = shardFor(R);
-  MutexLock Guard(S.M);
-  auto It = S.Map.find(R);
-  if (It != S.Map.end()) {
-    // First publisher wins; a duplicate publish means a second run needed
-    // this entry, so it counts as a reference like a lookup hit does.
-    It->second->Hot = true;
-    S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
-    return;
-  }
-  uint64_t Cost = dfaCost(*D);
-  S.Lru.push_front(Entry{R, std::move(D), Cost});
-  S.Cost += Cost;
-  S.Map.emplace(R, S.Lru.begin());
-  evictOverLocked(S);
-}
-
-size_t ShardedDfaStore::size() const {
-  size_t Total = 0;
-  for (const std::unique_ptr<Shard> &S : Shards) {
-    MutexLock Guard(S->M);
-    Total += S->Map.size();
-  }
-  return Total;
-}
-
-uint64_t ShardedDfaStore::costUnits() const {
-  uint64_t Total = 0;
-  for (const std::unique_ptr<Shard> &S : Shards) {
-    MutexLock Guard(S->M);
-    Total += S->Cost;
-  }
-  return Total;
-}
-
-void ShardedDfaStore::clear() {
-  for (std::unique_ptr<Shard> &S : Shards) {
-    MutexLock Guard(S->M);
-    S->Map.clear();
-    S->Lru.clear();
-    S->Cost = 0;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// TieredDfaStore
-//===----------------------------------------------------------------------===//
-
-TieredDfaStore::TieredDfaStore(ShardedDfaStore &L)
-    : TieredDfaStore(L, Config()) {}
-
-TieredDfaStore::TieredDfaStore(ShardedDfaStore &L, Config C)
-    : Local(L), Cfg(std::move(C)) {
-  if (!Cfg.Clk)
-    Cfg.Clk = Clock::steady();
-}
-
-std::shared_ptr<const Dfa> TieredDfaStore::lookup(const RegexPtr &R) {
-  return lookup(R, nullptr);
-}
-
-std::shared_ptr<const Dfa>
-TieredDfaStore::lookup(const RegexPtr &R, const obs::SynthProbe *P) {
-  if (std::shared_ptr<const Dfa> D = Local.lookup(R))
-    return D;
-  // Local miss: join the in-flight resolution of this regex, or open one
-  // and become its leader.
-  FlightPtr F;
-  bool Leader = false;
-  {
-    MutexLock Guard(FlightM);
-    auto It = Flights.find(R);
-    if (It != Flights.end()) {
-      F = It->second;
-    } else {
-      F = std::make_shared<Flight>();
-      Flights.emplace(R, F);
-      Leader = true;
-    }
-  }
-  if (!Leader)
-    return waitOnFlight(R, F);
-  if (!Cfg.Tier)
-    return nullptr; // leader compiles; publish() fulfils the flight
-  std::shared_ptr<const Dfa> D = tierFetch(R, P);
-  if (!D)
-    return nullptr; // tier miss: leader compiles, publish() fulfils
-  // Tier hit: install locally (so the whole shard is warm) and serve the
-  // waiters. Deliberately Local.publish, not this->publish — a fetched
-  // DFA must not echo back into the tier as a write-through.
-  Local.publish(R, D);
-  fulfillFlight(R, D);
-  return D;
-}
-
-std::shared_ptr<const Dfa>
-TieredDfaStore::waitOnFlight(const RegexPtr &R, const FlightPtr &F) {
-  UniqueLock Lock(FlightM);
-  const bool Served =
-      Cfg.Clk->waitFor(F->CV, Lock.native(), Cfg.FlightWaitMs,
-                       [this, &F] { return flightDoneLocked(F); });
-  if (Served) {
-    FlightServed.fetch_add(1, std::memory_order_relaxed);
-    return F->D;
-  }
-  // Timed out (leader died or is pathologically slow): retire the stale
-  // entry if it is still the one waited on, so the next miss opens a
-  // fresh flight, and fall back to compiling. A duplicate compile is
-  // safe — compilation is deterministic and publish is idempotent.
-  auto It = Flights.find(R);
-  if (It != Flights.end() && It->second == F)
-    Flights.erase(It);
-  FlightTimeouts.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
-}
-
-std::shared_ptr<const Dfa>
-TieredDfaStore::tierFetch(const RegexPtr &R, const obs::SynthProbe *P) {
-  // Runs with NO lock held: the RPC (or in-process shard walk), the
-  // canonical print and the blob parse are all outside FlightM.
-  const Clock *C = P && P->Clk ? P->Clk : Cfg.Clk.get();
-  const bool Timed = P && (P->DfaTierFetchUs || P->Trace);
-  const int64_t StartUs = Timed ? C->nowUs() : 0;
-  std::string Blob;
-  std::shared_ptr<const Dfa> D;
-  if (Cfg.Tier->get(printRegex(R), Blob))
-    D = parseDfa(Blob); // nullptr on a corrupt blob = miss
-  if (Timed) {
-    const int64_t DurUs = C->nowUs() - StartUs;
-    if (P->DfaTierFetchUs)
-      P->DfaTierFetchUs->record(static_cast<uint64_t>(DurUs));
-    if (P->Trace)
-      P->Trace->span("dfa_tier_fetch", "dfa", StartUs, DurUs, P->Tid);
-  }
-  if (D)
-    TierHits.fetch_add(1, std::memory_order_relaxed);
-  else
-    TierMisses.fetch_add(1, std::memory_order_relaxed);
-  return D;
-}
-
-void TieredDfaStore::publish(const RegexPtr &R,
-                             std::shared_ptr<const Dfa> D) {
-  Local.publish(R, D);
-  if (Cfg.Tier) {
-    // Write-through, best-effort, no lock held. Oversized automata stay
-    // shard-local: the tier exists for the small cross-job hot core.
-    std::string Blob = serializeDfa(*D);
-    if (Blob.size() <= MaxDfaBlobBytes) {
-      Cfg.Tier->put(printRegex(R), Blob);
-      TierPuts.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      TierPutSkipped.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  fulfillFlight(R, D);
-}
-
-void TieredDfaStore::fulfillFlight(const RegexPtr &R,
-                                   const std::shared_ptr<const Dfa> &D) {
-  FlightPtr F;
-  {
-    MutexLock Guard(FlightM);
-    auto It = Flights.find(R);
-    if (It == Flights.end())
-      return; // no waiters ever joined, or a timeout already retired it
-    F = It->second;
-    F->D = D;
-    F->Done = true;
-    Flights.erase(It);
-  }
-  F->CV.notify_all();
-}
 
 //===----------------------------------------------------------------------===//
 // ShardedApproxStore
@@ -286,7 +45,11 @@ ShardedApproxStore::shardFor(const SketchPtr &S, unsigned Depth,
 }
 
 void ShardedApproxStore::evictOverLocked(Shard &S) {
-  // Same second-chance sweep as the DFA store.
+  // Evict cold entries until the cap holds. Second chance: a
+  // hit-since-last-sweep entry reaching the cold end is recycled once
+  // (reference bit cleared) rather than evicted, so one-touch scan
+  // traffic cannot flush the re-referenced core. Recycles are bounded by
+  // the list length at entry, which guarantees termination.
   size_t Chances = S.Lru.size();
   while (MaxEntriesPerShard && S.Map.size() > MaxEntriesPerShard &&
          !S.Lru.empty()) {

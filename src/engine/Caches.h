@@ -3,11 +3,6 @@
 // Part of the Regel reproduction. Thread-safe sharded implementations of
 // the two cache seams the synthesis layers expose:
 //
-//   * regex -> DFA (automata/Compile's DfaStore): every synthesis run keeps
-//     its lock-free local DfaCache and falls through to the shared store on
-//     a miss, so DFA determinization/minimization is paid once per process
-//     per distinct regex instead of once per run.
-//
 //   * (sketch, depth, widened) -> over/under approximation
 //     (synth/Approximate's SketchApproxStore): approximations are
 //     example-independent, so concurrent jobs over a corpus that reuses
@@ -30,44 +25,35 @@
 // Both stores are bounded (CacheLimits): each shard keeps its entries on a
 // recency list and evicts from the cold end when a cap is exceeded, so a
 // serving process can stay up indefinitely without the memo growth that
-// otherwise accumulates one entry per distinct regex/sketch ever seen. The
-// DFA store's cap is additionally cost-aware — a DFA's weight is its
-// states + transitions, not its entry count — because compiled automata
-// vary in size by orders of magnitude.
+// otherwise accumulates one entry per distinct sketch or formula ever
+// seen.
 //
 // Eviction is second-chance (scan-resistant) LRU: an entry that has been
 // hit since it last reached the cold end is cycled back with its
 // reference bit cleared instead of evicted. Synthesis workloads are
-// mostly one-touch scans (each job publishes hundreds of job-specific
-// DFAs it will only ever look up itself), with a small cross-job core
-// that is re-referenced constantly; under pure LRU the scan flushes that
-// core, under second-chance it stays resident.
+// mostly one-touch scans (each job publishes many job-specific entries
+// it will only ever look up itself), with a small cross-job core that is
+// re-referenced constantly; under pure LRU the scan flushes that core,
+// under second-chance it stays resident.
 //
 // Eviction is transparent to correctness: a re-looked-up evicted entry
-// just recompiles (compilation is deterministic), it only costs the
-// recompilation time.
+// is just recomputed (approximation and solving are deterministic), it
+// only costs the recomputation time.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef REGEL_ENGINE_CACHES_H
 #define REGEL_ENGINE_CACHES_H
 
-#include "automata/Compile.h"
 #include "smt/Solver.h"
-#include "support/Clock.h"
 #include "support/Mutex.h"
 #include "synth/Approximate.h"
 
 #include <atomic>
-#include <condition_variable>
 #include <list>
 #include <memory>
 #include <unordered_map>
 #include <vector>
-
-namespace regel::dfad {
-class DfaTierClient;
-}
 
 namespace regel::engine {
 
@@ -79,10 +65,8 @@ struct CacheLimits {
   /// Maximum entries across all shards.
   size_t MaxEntries = 0;
 
-  /// Maximum summed entry cost across all shards. The DFA store measures
-  /// cost in automaton size (states + transitions, see
-  /// ShardedDfaStore::dfaCost); the approximation store counts 1 per entry,
-  /// so for it this is a second entry cap.
+  /// Maximum summed entry cost across all shards. Every store counts 1
+  /// per entry, so this is a second entry cap (the tighter one applies).
   uint64_t MaxCost = 0;
 };
 
@@ -94,177 +78,6 @@ inline uint64_t mix64(uint64_t X) {
   X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
   return X ^ (X >> 31);
 }
-
-/// A sharded, thread-safe, LRU-bounded regex -> DFA store.
-class ShardedDfaStore : public DfaStore {
-public:
-  explicit ShardedDfaStore(unsigned NumShards = 16, CacheLimits Limits = {});
-
-  using DfaStore::lookup; // keep the probe-carrying overload visible
-  std::shared_ptr<const Dfa> lookup(const RegexPtr &R) override;
-  void publish(const RegexPtr &R, std::shared_ptr<const Dfa> D) override;
-
-  size_t size() const;
-  void clear();
-
-  /// Summed cost units (states + transitions) of every cached DFA.
-  uint64_t costUnits() const;
-
-  /// Cost of one DFA in store cost units: its states plus the transitions
-  /// of its complete table.
-  static uint64_t dfaCost(const Dfa &D) {
-    return static_cast<uint64_t>(D.numStates()) * (1 + AlphabetSize);
-  }
-
-  const CacheLimits &limits() const { return Limits; }
-
-  uint64_t hits() const { return Hits.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return Misses.load(std::memory_order_relaxed); }
-  uint64_t evictions() const {
-    return Evictions.load(std::memory_order_relaxed);
-  }
-
-private:
-  struct Entry {
-    RegexPtr R;
-    std::shared_ptr<const Dfa> D;
-    uint64_t Cost;
-    bool Hot = false; ///< hit since it last reached the cold end
-  };
-  struct Shard {
-    mutable Mutex M;
-    std::list<Entry> Lru REGEL_GUARDED_BY(M); ///< front = most recently used
-    std::unordered_map<RegexPtr, std::list<Entry>::iterator, RegexPtrHash,
-                       RegexPtrEq>
-        Map REGEL_GUARDED_BY(M);
-    uint64_t Cost REGEL_GUARDED_BY(M) = 0; ///< summed entry cost
-  };
-
-  Shard &shardFor(const RegexPtr &R);
-  void evictOverLocked(Shard &S) REGEL_REQUIRES(S.M);
-
-  std::vector<std::unique_ptr<Shard>> Shards;
-  CacheLimits Limits;
-  size_t MaxEntriesPerShard = 0;
-  uint64_t MaxCostPerShard = 0;
-  std::atomic<uint64_t> Hits{0};
-  std::atomic<uint64_t> Misses{0};
-  std::atomic<uint64_t> Evictions{0};
-};
-
-/// Layers a shard-local ShardedDfaStore under an optional fleet-shared
-/// DFA tier (src/dfad/), and adds single-flight compile deduplication:
-///
-///   * lookup: local store first; on a local miss, exactly ONE caller
-///     per distinct regex (the flight leader) proceeds — to the tier
-///     when one is attached, else straight to returning nullptr so its
-///     DfaCache compiles. Concurrent missers wait (bounded by
-///     Config::FlightWaitMs) on the in-flight entry instead of each
-///     paying the same determinization — the ShardedDfaStore
-///     thundering-herd fix, useful even with no tier at all.
-///   * publish: write-through — the local store keeps the DFA, and when
-///     a tier is attached the serialized blob (when it fits
-///     MaxDfaBlobBytes) is offered best-effort, then the flight is
-///     fulfilled and every waiter served.
-///
-/// A flight-wait timeout or a tier failure degrades to a duplicate
-/// compile, never an error: compilation is deterministic and publish is
-/// idempotent, so correctness never depends on the tier or the flights.
-///
-/// Lock discipline: FlightM is leaf-level — the tier RPC, the regex
-/// print, serialization and compilation all run with NO lock held (the
-/// tools/analyze gate checks this); FlightM is only taken to join,
-/// open, or fulfil a flight entry.
-class TieredDfaStore : public DfaStore {
-public:
-  struct Config {
-    /// The shared tier; null = single-flight only (no remote layer).
-    std::shared_ptr<dfad::DfaTierClient> Tier;
-
-    /// Clock for bounded flight waits (and fetch timing when the probe
-    /// carries no clock). Defaults to Clock::steady().
-    std::shared_ptr<const Clock> Clk;
-
-    /// Longest a lookup waits on another caller's in-flight compile
-    /// before giving up and compiling itself.
-    int64_t FlightWaitMs = 1000;
-  };
-
-  /// Single-flight-only store (no tier, steady clock): the no-config
-  /// overload exists because a `Config C = {}` default argument trips
-  /// GCC's NSDMI-in-incomplete-class handling.
-  explicit TieredDfaStore(ShardedDfaStore &Local);
-  TieredDfaStore(ShardedDfaStore &Local, Config C);
-
-  std::shared_ptr<const Dfa> lookup(const RegexPtr &R) override;
-  std::shared_ptr<const Dfa> lookup(const RegexPtr &R,
-                                    const obs::SynthProbe *P) override;
-  void publish(const RegexPtr &R, std::shared_ptr<const Dfa> D) override;
-
-  ShardedDfaStore &local() { return Local; }
-  const std::shared_ptr<dfad::DfaTierClient> &tier() const {
-    return Cfg.Tier;
-  }
-
-  uint64_t tierHits() const {
-    return TierHits.load(std::memory_order_relaxed);
-  }
-  uint64_t tierMisses() const {
-    return TierMisses.load(std::memory_order_relaxed);
-  }
-  uint64_t tierPuts() const {
-    return TierPuts.load(std::memory_order_relaxed);
-  }
-  /// Write-throughs skipped because the blob exceeded MaxDfaBlobBytes.
-  uint64_t tierPutsSkipped() const {
-    return TierPutSkipped.load(std::memory_order_relaxed);
-  }
-  /// Lookups served by waiting on another caller's in-flight compile.
-  uint64_t flightServed() const {
-    return FlightServed.load(std::memory_order_relaxed);
-  }
-  /// Flight waits that timed out (the waiter compiled redundantly).
-  uint64_t flightTimeouts() const {
-    return FlightTimeouts.load(std::memory_order_relaxed);
-  }
-
-private:
-  /// One in-flight resolution of a single regex. D/Done are guarded by
-  /// the owning store's FlightM (annotation needs the member in scope).
-  struct Flight {
-    std::condition_variable CV;
-    std::shared_ptr<const Dfa> D;
-    bool Done = false;
-  };
-  using FlightPtr = std::shared_ptr<Flight>;
-
-  // CV-wait predicate: Clang analyzes the lambda body as an unlocked
-  // function.
-  bool flightDoneLocked(const FlightPtr &F) const
-      REGEL_NO_THREAD_SAFETY_ANALYSIS { // callers hold FlightM
-    return F->Done;
-  }
-
-  std::shared_ptr<const Dfa> waitOnFlight(const RegexPtr &R,
-                                          const FlightPtr &F);
-  std::shared_ptr<const Dfa> tierFetch(const RegexPtr &R,
-                                       const obs::SynthProbe *P);
-  void fulfillFlight(const RegexPtr &R, const std::shared_ptr<const Dfa> &D);
-
-  ShardedDfaStore &Local;
-  Config Cfg;
-
-  Mutex FlightM;
-  std::unordered_map<RegexPtr, FlightPtr, RegexPtrHash, RegexPtrEq>
-      Flights REGEL_GUARDED_BY(FlightM);
-
-  std::atomic<uint64_t> TierHits{0};
-  std::atomic<uint64_t> TierMisses{0};
-  std::atomic<uint64_t> TierPuts{0};
-  std::atomic<uint64_t> TierPutSkipped{0};
-  std::atomic<uint64_t> FlightServed{0};
-  std::atomic<uint64_t> FlightTimeouts{0};
-};
 
 /// A sharded, thread-safe, LRU-bounded (sketch, depth, widened) ->
 /// approximation memo.
@@ -345,7 +158,7 @@ private:
 /// Sat/Unsat verdict store — the engine-side implementation of
 /// smt::VerdictStore. Verdicts are facts (solving is deterministic and
 /// a Sat model is the DFS's unique smallest model), so eviction only
-/// costs a re-solve, exactly like the DFA store's recompilation.
+/// costs a re-solve.
 class ShardedSmtCache : public smt::VerdictStore {
 public:
   explicit ShardedSmtCache(unsigned NumShards = 16, CacheLimits Limits = {});
@@ -437,13 +250,10 @@ private:
 /// The caches one engine (or several engines, when passed explicitly)
 /// share across all jobs.
 struct SharedCaches {
-  explicit SharedCaches(unsigned NumShards = 16, CacheLimits DfaLimits = {},
-                        CacheLimits ApproxLimits = {},
+  explicit SharedCaches(unsigned NumShards = 16, CacheLimits ApproxLimits = {},
                         CacheLimits SmtLimits = {})
-      : Dfa(NumShards, DfaLimits), Approx(NumShards, ApproxLimits),
-        Smt(NumShards, SmtLimits) {}
+      : Approx(NumShards, ApproxLimits), Smt(NumShards, SmtLimits) {}
 
-  ShardedDfaStore Dfa;
   ShardedApproxStore Approx;
   ShardedSmtCache Smt;
 };

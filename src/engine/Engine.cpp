@@ -27,7 +27,6 @@ Engine::Engine(EngineConfig C)
       Clk(Cfg.TimeSource ? Cfg.TimeSource : Clock::steady()),
       Caches(Cfg.Caches ? Cfg.Caches
                         : std::make_shared<SharedCaches>(Cfg.CacheShards,
-                                                         Cfg.DfaCacheLimits,
                                                          Cfg.ApproxCacheLimits,
                                                          Cfg.SmtCacheLimits)),
       Reg(std::make_shared<obs::Registry>()),
@@ -44,19 +43,7 @@ Engine::Engine(EngineConfig C)
       PerPri[P].EstErrUs = &Reg->histogram("regel_estimator_abs_error_us", L);
     }
     TaskExecUs = &Reg->histogram("regel_task_exec_us");
-    DfaCompileUs = &Reg->histogram("regel_dfa_compile_us");
-    DfaTierFetchUs = &Reg->histogram("regel_dfa_tier_fetch_us");
     SmtInferUs = &Reg->histogram("regel_smt_infer_us");
-  }
-  if (Cfg.DfaTier && (Cfg.TieredDfa || Cfg.TierClient)) {
-    if (Cfg.TieredDfa) {
-      TierStore = Cfg.TieredDfa;
-    } else {
-      TieredDfaStore::Config TC;
-      TC.Tier = Cfg.TierClient;
-      TC.Clk = Clk;
-      TierStore = std::make_shared<TieredDfaStore>(Caches->Dfa, TC);
-    }
   }
 }
 
@@ -388,11 +375,6 @@ void Engine::runSketchTask(const JobPtr &J, unsigned Rank) {
   } else {
     SynthConfig SC = Req.Synth;
     SC.TopK = Req.TopK;
-    // With a tier attached, runs resolve DFAs through the tiered store:
-    // run-local cache -> shard-local store -> tier fetch -> compile, with
-    // concurrent cold misses deduped to one compile (single-flight).
-    SC.SharedDfa =
-        TierStore ? static_cast<DfaStore *>(TierStore.get()) : &Caches->Dfa;
     SC.SharedApprox = &Caches->Approx;
     SC.SharedSmt = Cfg.SmtMemo ? &Caches->Smt : nullptr;
     // Deterministic jobs must not stop mid-search because a sibling
@@ -427,16 +409,13 @@ void Engine::runSketchTask(const JobPtr &J, unsigned Rank) {
                                     : ResidencyLeftMs;
     }
 
-    // Instrumentation sinks for the layers below the engine (synthesizer
-    // and DFA cache). Stack-allocated: Synth.run is synchronous and the
+    // Instrumentation sinks for the synthesizer below the engine. Stack-allocated: Synth.run is synchronous and the
     // probe must not outlive this frame.
     obs::TraceContext *T = J->Req.Trace.get();
     obs::SynthProbe Probe;
     const bool Observe = Cfg.Observability;
     if (Observe) {
       Probe.Clk = Clk.get();
-      Probe.DfaCompileUs = DfaCompileUs;
-      Probe.DfaTierFetchUs = TierStore ? DfaTierFetchUs : nullptr;
       Probe.SmtInferUs = SmtInferUs;
       Probe.Trace = T;
       Probe.Tid = 1 + Rank;
@@ -463,9 +442,6 @@ void Engine::runSketchTask(const JobPtr &J, unsigned Rank) {
         S.Args = {{"rank", std::to_string(Rank)},
                   {"solutions", std::to_string(SR.Solutions.size())},
                   {"pops", std::to_string(SR.Stats.Pops)},
-                  {"dfa_local_hits", std::to_string(SR.Stats.DfaLocalHits)},
-                  {"dfa_shared_hits", std::to_string(SR.Stats.DfaSharedHits)},
-                  {"dfa_compiles", std::to_string(SR.Stats.DfaCompiles)},
                   {"smt_interval_evals",
                    std::to_string(SR.Stats.SmtIntervalEvals)},
                   {"smt_solves", std::to_string(SR.Stats.SmtSolves)},
@@ -580,19 +556,6 @@ StatsSnapshot Engine::snapshot() const {
   S.TasksRunBatch = Pool.tasksRun(Priority::Batch);
   S.TasksRunBackground = Pool.tasksRun(Priority::Background);
   S.CompletionsPending = completedPending();
-  if (TierStore) {
-    S.DfaTierHits = TierStore->tierHits();
-    S.DfaTierMisses = TierStore->tierMisses();
-    S.DfaTierPuts = TierStore->tierPuts();
-    S.DfaTierPutsSkipped = TierStore->tierPutsSkipped();
-    S.DfaFlightServed = TierStore->flightServed();
-    S.DfaFlightTimeouts = TierStore->flightTimeouts();
-  }
-  S.DfaStoreHits = Caches->Dfa.hits();
-  S.DfaStoreMisses = Caches->Dfa.misses();
-  S.DfaStoreSize = Caches->Dfa.size();
-  S.DfaStoreCost = Caches->Dfa.costUnits();
-  S.DfaStoreEvictions = Caches->Dfa.evictions();
   S.ApproxStoreHits = Caches->Approx.hits();
   S.ApproxStoreMisses = Caches->Approx.misses();
   S.ApproxStoreSize = Caches->Approx.size();
@@ -702,21 +665,8 @@ void Engine::mirrorSnapshot() const {
   R.counter("regel_smt_solves_total").set(S.SmtSolves);
   R.counter("regel_smt_unsat_short_circuits_total")
       .set(S.SmtUnsatShortCircuits);
-  R.counter("regel_dfa_gets_total").set(S.DfaGets);
-  R.counter("regel_dfa_local_hits_total").set(S.DfaLocalHits);
-  R.counter("regel_dfa_shared_hits_total").set(S.DfaSharedHits);
-  R.counter("regel_dfa_compiles_total").set(S.DfaCompiles);
-  R.counter("regel_dfa_tier_hits_total").set(S.DfaTierHits);
-  R.counter("regel_dfa_tier_misses_total").set(S.DfaTierMisses);
-  R.counter("regel_dfa_tier_puts_total").set(S.DfaTierPuts);
-  R.counter("regel_dfa_tier_puts_skipped_total").set(S.DfaTierPutsSkipped);
-  R.counter("regel_dfa_flight_served_total").set(S.DfaFlightServed);
-  R.counter("regel_dfa_flight_timeouts_total").set(S.DfaFlightTimeouts);
   R.counter("regel_synth_time_us_total")
       .set(static_cast<uint64_t>(S.SynthMsTotal * 1000.0));
-  R.counter("regel_dfa_store_hits_total").set(S.DfaStoreHits);
-  R.counter("regel_dfa_store_misses_total").set(S.DfaStoreMisses);
-  R.counter("regel_dfa_store_evictions_total").set(S.DfaStoreEvictions);
   R.counter("regel_approx_store_hits_total").set(S.ApproxStoreHits);
   R.counter("regel_approx_store_misses_total").set(S.ApproxStoreMisses);
   R.counter("regel_approx_store_evictions_total")
@@ -731,10 +681,6 @@ void Engine::mirrorSnapshot() const {
       .set(static_cast<int64_t>(S.CompletionsPending));
   R.gauge("regel_worker_threads")
       .set(static_cast<int64_t>(Pool.threadCount()));
-  R.gauge("regel_dfa_store_size_entries")
-      .set(static_cast<int64_t>(S.DfaStoreSize));
-  R.gauge("regel_dfa_store_cost_units")
-      .set(static_cast<int64_t>(S.DfaStoreCost));
   R.gauge("regel_approx_store_size_entries")
       .set(static_cast<int64_t>(S.ApproxStoreSize));
   R.gauge("regel_smt_cache_size_entries")

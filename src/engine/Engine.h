@@ -5,7 +5,7 @@
 // tenant) accepts many concurrent synthesis jobs, fans each out into one
 // task per sketch on a shared priority-aware work-stealing pool, cancels
 // sibling tasks as soon as a job has its TopK answers, enforces per-job
-// deadlines, and shares the regex->DFA and sketch-approximation caches
+// deadlines, and shares the sketch-approximation and SMT verdict caches
 // across every run. Admission is deadline-aware: a per-class EWMA of
 // service time sheds submissions whose residency SLA cannot be met
 // (ShedOnArrival), and a deadline min-heap expires queued jobs eagerly
@@ -62,32 +62,13 @@ struct EngineConfig {
 
   /// Size caps for the self-created caches (ignored when Caches is passed
   /// in — the owner of a shared cache decides its limits). Zero fields
-  /// mean unbounded; see CacheLimits.
+  /// mean unbounded; see CacheLimits. DfaCacheLimits is accepted and
+  /// ignored: feasibility checks match examples directly, so the engine
+  /// keeps no regex->DFA cache. The field remains only so configurations
+  /// that still set it compile.
   CacheLimits DfaCacheLimits;
   CacheLimits ApproxCacheLimits;
   CacheLimits SmtCacheLimits;
-
-  /// Shared DFA tier kill-switch (on by default). When off the engine
-  /// never wraps its shared DFA store, even if TierClient/TieredDfa are
-  /// set — synthesis runs see the plain ShardedDfaStore exactly as
-  /// before. Kept as a knob so operators can rule the tier out when
-  /// chasing a wrong-answer or latency report, and so the bench can
-  /// measure what the tier buys.
-  bool DfaTier = true;
-
-  /// Client of a shared DFA tier (see dfad/Tier.h): in-process
-  /// (dfad::LocalDfaTier) or remote (dfad::RemoteDfaTier speaking the v2
-  /// `dfa` frames). When set (and DfaTier is on), the engine layers a
-  /// TieredDfaStore over its shared store: local misses fetch from the
-  /// tier before compiling, and fresh compilations publish write-through.
-  std::shared_ptr<dfad::DfaTierClient> TierClient;
-
-  /// Pre-built tiered store to use instead of constructing one from
-  /// TierClient. Lets several engines sharing one SharedCaches also share
-  /// one single-flight table (concurrent cold misses across engines then
-  /// dedup to one compile). Must wrap the same ShardedDfaStore as Caches
-  /// — the owner who built both guarantees that.
-  std::shared_ptr<TieredDfaStore> TieredDfa;
 
   /// Cross-run SMT verdict memoization (on by default): synthesis runs
   /// get SynthConfig::SharedSmt pointed at the shared ShardedSmtCache, so
@@ -197,8 +178,8 @@ public:
 
   /// Prometheus-style text exposition of every engine metric: the
   /// snapshot counters mirrored into the registry plus the live latency
-  /// histograms (per-class queue/exec/total, per-task exec, DFA compile,
-  /// SMT inference, estimator error). The uniform read surface — the
+  /// histograms (per-class queue/exec/total, per-task exec, SMT
+  /// inference, estimator error). The uniform read surface — the
   /// socket server's v2 `metrics` frame and the bench's percentile rows
   /// both come from here.
   std::string metricsText() const;
@@ -217,13 +198,6 @@ public:
   const std::shared_ptr<obs::Tracer> &tracer() const { return Tracing; }
 
   SharedCaches &caches() { return *Caches; }
-
-  /// The tiered DFA store synthesis runs resolve through, or null when no
-  /// tier is attached (TierClient/TieredDfa unset or DfaTier off).
-  /// Exposed so tests can assert single-flight and tier-hit accounting.
-  const std::shared_ptr<TieredDfaStore> &tieredDfa() const {
-    return TierStore;
-  }
 
   const EngineConfig &config() const { return Cfg; }
   unsigned threadCount() const { return Pool.threadCount(); }
@@ -284,16 +258,12 @@ private:
   EngineConfig Cfg;
   std::shared_ptr<const Clock> Clk; ///< never null
   std::shared_ptr<SharedCaches> Caches;
-
-  /// Tiered wrapper over Caches->Dfa when a tier is attached (null
-  /// otherwise — runs then point straight at the plain shared store).
-  std::shared_ptr<TieredDfaStore> TierStore;
   std::shared_ptr<obs::Registry> Reg;    ///< never null
   std::shared_ptr<obs::Tracer> Tracing;  ///< never null
 
   /// Hot-path histogram handles, resolved once at construction (null when
   /// Cfg.Observability is off). Per scheduling class for the job-level
-  /// latencies; unlabeled for the task/DFA/SMT timings.
+  /// latencies; unlabeled for the task/SMT timings.
   struct JobHists {
     obs::Histogram *QueueUs = nullptr;
     obs::Histogram *ExecUs = nullptr;
@@ -302,8 +272,6 @@ private:
   };
   JobHists PerPri[NumPriorities];
   obs::Histogram *TaskExecUs = nullptr;
-  obs::Histogram *DfaCompileUs = nullptr;
-  obs::Histogram *DfaTierFetchUs = nullptr;
   obs::Histogram *SmtInferUs = nullptr;
 
   EngineStats Stats;

@@ -94,7 +94,7 @@ struct JobRequest {
   /// Span sink for this job (normally created by the engine at submit when
   /// the tracer samples the job; a caller may pre-attach one to force
   /// tracing). Spans are recorded from submit through queue, dispatch,
-  /// per-sketch task, DFA compile, and SMT inference; the final trace id
+  /// per-sketch task, and SMT inference; the final trace id
   /// is reported in JobResult::TraceId and fetchable while retained.
   std::shared_ptr<obs::TraceContext> Trace;
 

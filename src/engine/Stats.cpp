@@ -22,14 +22,7 @@ std::string StatsSnapshot::toJson() const {
       "\"synth\":{\"pops\":%llu,\"expansions\":%llu,\"pruned\":%llu,"
       "\"checked\":%llu,\"smt_interval_evals\":%llu,\"smt_solves\":%llu,"
       "\"smt_cache_hits\":%llu,\"smt_unsat_short_circuits\":%llu,"
-      "\"dfa_gets\":%llu,\"dfa_local_hits\":%llu,"
-      "\"dfa_shared_hits\":%llu,"
-      "\"dfa_compiles\":%llu,\"total_ms\":%.1f},"
-      "\"dfa_tier\":{\"hits\":%llu,\"misses\":%llu,\"puts\":%llu,"
-      "\"puts_skipped\":%llu,\"flight_served\":%llu,"
-      "\"flight_timeouts\":%llu},"
-      "\"dfa_store\":{\"hits\":%llu,\"misses\":%llu,\"size\":%llu,"
-      "\"cost\":%llu,\"evictions\":%llu},"
+      "\"total_ms\":%.1f},"
       "\"approx_store\":{\"hits\":%llu,\"misses\":%llu,\"size\":%llu,"
       "\"evictions\":%llu},"
       "\"smt_store\":{\"hits\":%llu,\"implied_hits\":%llu,\"misses\":%llu,"
@@ -55,18 +48,7 @@ std::string StatsSnapshot::toJson() const {
       (unsigned long long)PrunedInfeasible, (unsigned long long)ConcreteChecked,
       (unsigned long long)SmtIntervalEvals, (unsigned long long)SmtSolves,
       (unsigned long long)SmtCacheHits,
-      (unsigned long long)SmtUnsatShortCircuits,
-      (unsigned long long)DfaGets,
-      (unsigned long long)DfaLocalHits, (unsigned long long)DfaSharedHits,
-      (unsigned long long)DfaCompiles, SynthMsTotal,
-      (unsigned long long)DfaTierHits, (unsigned long long)DfaTierMisses,
-      (unsigned long long)DfaTierPuts,
-      (unsigned long long)DfaTierPutsSkipped,
-      (unsigned long long)DfaFlightServed,
-      (unsigned long long)DfaFlightTimeouts,
-      (unsigned long long)DfaStoreHits, (unsigned long long)DfaStoreMisses,
-      (unsigned long long)DfaStoreSize, (unsigned long long)DfaStoreCost,
-      (unsigned long long)DfaStoreEvictions,
+      (unsigned long long)SmtUnsatShortCircuits, SynthMsTotal,
       (unsigned long long)ApproxStoreHits,
       (unsigned long long)ApproxStoreMisses,
       (unsigned long long)ApproxStoreSize,
@@ -110,22 +92,7 @@ void StatsSnapshot::merge(const StatsSnapshot &O) {
   SmtSolves += O.SmtSolves;
   SmtCacheHits += O.SmtCacheHits;
   SmtUnsatShortCircuits += O.SmtUnsatShortCircuits;
-  DfaGets += O.DfaGets;
-  DfaLocalHits += O.DfaLocalHits;
-  DfaSharedHits += O.DfaSharedHits;
-  DfaCompiles += O.DfaCompiles;
   SynthMsTotal += O.SynthMsTotal;
-  DfaTierHits += O.DfaTierHits;
-  DfaTierMisses += O.DfaTierMisses;
-  DfaTierPuts += O.DfaTierPuts;
-  DfaTierPutsSkipped += O.DfaTierPutsSkipped;
-  DfaFlightServed += O.DfaFlightServed;
-  DfaFlightTimeouts += O.DfaFlightTimeouts;
-  DfaStoreHits += O.DfaStoreHits;
-  DfaStoreMisses += O.DfaStoreMisses;
-  DfaStoreSize += O.DfaStoreSize;
-  DfaStoreCost += O.DfaStoreCost;
-  DfaStoreEvictions += O.DfaStoreEvictions;
   ApproxStoreHits += O.ApproxStoreHits;
   ApproxStoreMisses += O.ApproxStoreMisses;
   ApproxStoreSize += O.ApproxStoreSize;

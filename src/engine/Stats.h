@@ -74,44 +74,9 @@ struct StatsSnapshot {
   uint64_t SmtCacheHits = 0;
   uint64_t SmtUnsatShortCircuits = 0;
 
-  // DFA resolution is an exact partition: every get is served by the
-  // run-local cache (LocalHits, the store is never consulted), by the
-  // shared store (SharedHits), or by a compile.
-  // DfaGets == DfaLocalHits + DfaSharedHits + DfaCompiles, always.
-  uint64_t DfaGets = 0;       ///< DFA requests across all runs
-  uint64_t DfaLocalHits = 0;  ///< served run-locally, store not consulted
-  uint64_t DfaSharedHits = 0; ///< local misses served by the shared store
-  uint64_t DfaCompiles = 0;   ///< compilations actually paid
   double SynthMsTotal = 0;
 
-  // Shared DFA tier (zero when EngineConfig::DfaTier is off or no tier
-  // client is attached — see engine::TieredDfaStore). Tier hits are a
-  // subset of DfaSharedHits: a fetch served by the tier surfaces to the
-  // run as a shared-store hit, so the DfaGets partition above stays
-  // exact. FlightServed counts lookups that waited on another thread's
-  // in-flight compile/fetch instead of duplicating it (single-flight).
-  uint64_t DfaTierHits = 0;
-  uint64_t DfaTierMisses = 0;
-  uint64_t DfaTierPuts = 0;        ///< blobs published write-through
-  uint64_t DfaTierPutsSkipped = 0; ///< DFAs too large to serialize
-  uint64_t DfaFlightServed = 0;
-  uint64_t DfaFlightTimeouts = 0;
-
-  /// Share of DFA requests served without compiling (local cache, shared
-  /// store, or eviction-then-recompile absorbed elsewhere) — the
-  /// end-to-end figure a bounded store is judged by.
-  double dfaResolutionRate() const {
-    return DfaGets ? 1.0 - static_cast<double>(DfaCompiles) /
-                               static_cast<double>(DfaGets)
-                   : 0.0;
-  }
-
   // Cross-run caches.
-  uint64_t DfaStoreHits = 0;
-  uint64_t DfaStoreMisses = 0;
-  uint64_t DfaStoreSize = 0;
-  uint64_t DfaStoreCost = 0; ///< summed DFA cost units (states+transitions)
-  uint64_t DfaStoreEvictions = 0;
   uint64_t ApproxStoreHits = 0;
   uint64_t ApproxStoreMisses = 0;
   uint64_t ApproxStoreSize = 0;
@@ -183,10 +148,6 @@ public:
     add(SmtSolves, S.SmtSolves);
     add(SmtCacheHits, S.SmtCacheHits);
     add(SmtUnsatShortCircuits, S.SmtUnsatShortCircuits);
-    add(DfaGets, S.DfaGets);
-    add(DfaLocalHits, S.DfaLocalHits);
-    add(DfaSharedHits, S.DfaSharedHits);
-    add(DfaCompiles, S.DfaCompiles);
     SynthMsTotalU.fetch_add(static_cast<uint64_t>(S.TimeMs * 1000.0),
                             std::memory_order_relaxed);
   }
@@ -214,10 +175,6 @@ public:
     Out.SmtSolves = get(SmtSolves);
     Out.SmtCacheHits = get(SmtCacheHits);
     Out.SmtUnsatShortCircuits = get(SmtUnsatShortCircuits);
-    Out.DfaGets = get(DfaGets);
-    Out.DfaLocalHits = get(DfaLocalHits);
-    Out.DfaSharedHits = get(DfaSharedHits);
-    Out.DfaCompiles = get(DfaCompiles);
     Out.SynthMsTotal =
         static_cast<double>(SynthMsTotalU.load(std::memory_order_relaxed)) /
         1000.0;
@@ -239,8 +196,7 @@ private:
   Counter TasksRun{0}, TasksSkipped{0}, TasksStopped{0}, SolutionsFound{0};
   Counter Pops{0}, Expansions{0}, PrunedInfeasible{0}, ConcreteChecked{0},
       SmtIntervalEvals{0}, SmtSolves{0}, SmtCacheHits{0},
-      SmtUnsatShortCircuits{0}, DfaGets{0}, DfaLocalHits{0},
-      DfaSharedHits{0}, DfaCompiles{0};
+      SmtUnsatShortCircuits{0};
   Counter SynthMsTotalU{0}; ///< microseconds, to keep the counter integral
 };
 

@@ -1,7 +1,6 @@
 //===- obs/Probe.h - Instrumentation hook into the synthesizer --*- C++ -*-===//
 //
-// Part of the Regel reproduction. The synthesizer and the automata layer
-// sit below the engine and must not depend on it; the engine hands them
+// Part of the Regel reproduction. The synthesizer sits below the engine and must not depend on it; the engine hands them
 // this POD of optional sinks instead (via SynthConfig::Probe). Everything
 // is nullable: a null probe — or any null member — compiles the
 // instrumentation down to a pointer test, which is what the bench's
@@ -27,20 +26,12 @@ class Histogram;
 class TraceContext;
 
 /// Sinks for one synthesis run, threaded from the engine through
-/// SynthConfig into the Synthesizer and its DfaCache.
+/// SynthConfig into the Synthesizer.
 struct SynthProbe {
   /// Time source for span/histogram timing (same clock as the job's
   /// deadlines — virtual under ManualClock). Required when any other
   /// member is set.
   const Clock *Clk = nullptr;
-
-  /// Per-DFA-compilation latency (cache misses that actually compiled).
-  Histogram *DfaCompileUs = nullptr;
-
-  /// Latency of each shared-DFA-tier fetch attempt (hit or miss), when a
-  /// tier is attached (see engine::TieredDfaStore). Local store lookups
-  /// are never timed — only the fetch that may cross a process boundary.
-  Histogram *DfaTierFetchUs = nullptr;
 
   /// Latency of each SMT-guided inferConstants invocation. (Individual
   /// interval sweeps and solver calls are far too frequent to time one by
@@ -48,8 +39,8 @@ struct SynthProbe {
   /// times the enclosing inference call.)
   Histogram *SmtInferUs = nullptr;
 
-  /// The job's trace, when sampled (nullptr otherwise): dfa_compile and
-  /// smt_infer spans land here.
+  /// The job's trace, when sampled (nullptr otherwise): smt_infer spans
+  /// land here.
   TraceContext *Trace = nullptr;
 
   /// Trace lane for spans recorded through this probe (the engine uses

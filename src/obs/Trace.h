@@ -2,7 +2,7 @@
 //
 // Part of the Regel reproduction. A TraceContext rides inside JobRequest
 // from submit to completion; every layer the job crosses (queue, dispatch,
-// per-sketch task, DFA compile, SMT constant inference) records closed
+// per-sketch task, SMT constant inference) records closed
 // spans into it. The Tracer decides which contexts exist (sampling) and
 // which finished traces are retained (a bounded ring), and exports a
 // retained trace as Chrome `trace_event` JSON — load it in
@@ -40,8 +40,8 @@ namespace obs {
 
 /// One closed span: [StartUs, StartUs + DurUs] on the engine clock.
 struct Span {
-  std::string Name;                  ///< e.g. "queue", "task", "dfa_compile"
-  std::string Cat;                   ///< taxonomy bucket: job|task|dfa|smt
+  std::string Name;                  ///< e.g. "queue", "task", "smt_infer"
+  std::string Cat;                   ///< taxonomy bucket: job|task|smt
   int64_t StartUs = 0;
   int64_t DurUs = 0;
   int64_t Tid = 0;                   ///< lane: 0 = job lane, 1+N = sketch rank N
@@ -81,9 +81,9 @@ public:
   }
 
   /// Envelope spans — the job-lane submit/queue/exec/job markers —
-  /// bypass the cap. A long search records its detail spans (DFA
-  /// compiles, SMT calls) *before* completion records the envelope, so
-  /// a capped trace would otherwise keep 128 `dfa_compile` rows and
+  /// bypass the cap. A long search records its detail spans (SMT
+  /// inference calls) *before* completion records the envelope, so a
+  /// capped trace would otherwise keep 128 `smt_infer` rows and
   /// drop the very spans "why was this job slow?" reads first. The
   /// engine records at most four envelope spans per job, so memory
   /// stays bounded at MaxSpans + O(1).

@@ -2,7 +2,6 @@
 
 #include "server/SocketServer.h"
 
-#include "dfad/Tier.h"
 #include "regex/Printer.h"
 #include "service/LocalService.h"
 #include "sketch/SketchParser.h"
@@ -470,12 +469,9 @@ void SocketServer::handleV1(Connection &C, const Request &Req,
   case Request::Kind::Health:
   case Request::Kind::Metrics:
   case Request::Kind::Trace:
-  case Request::Kind::DfaGet:
-  case Request::Kind::DfaPut:
-  case Request::Kind::DfaStats:
     // Unreachable: the decoder only produces these for v2 frames. (A v1
     // "metrics" line is an UnknownCommand error upstream — v1 stays
-    // byte-frozen; telemetry and the DFA tier are v2-only.)
+    // byte-frozen; telemetry is v2-only.)
     respond(C, errorResponse(ErrorCode::UnknownCommand, ""), Version::V1);
     return;
   }
@@ -585,53 +581,6 @@ void SocketServer::handleV2(Connection &C, const Request &Req,
               Version::V2);
       return;
     }
-    respond(C, R, Version::V2);
-    return;
-  }
-  case Request::Kind::DfaGet: {
-    // Tier reads are served inline on the loop thread: a store get is a
-    // sharded map lookup (microseconds), far cheaper than the parse work
-    // submit already does here.
-    if (!Cfg.DfaTier) {
-      respond(C, errorResponse(ErrorCode::Unavailable, "no dfa tier"),
-              Version::V2);
-      return;
-    }
-    Response R;
-    R.K = Response::Kind::Dfa;
-    R.Key = Req.Key;
-    std::string Blob;
-    R.Found = Cfg.DfaTier->get(Req.Key, Blob);
-    if (R.Found)
-      R.Detail = std::move(Blob);
-    respond(C, R, Version::V2);
-    return;
-  }
-  case Request::Kind::DfaPut: {
-    if (!Cfg.DfaTier) {
-      respond(C, errorResponse(ErrorCode::Unavailable, "no dfa tier"),
-              Version::V2);
-      return;
-    }
-    // Always `ok`: keep-or-drop (invalid blob, eviction pressure) is
-    // cache policy, not a client error — publishes are best-effort and
-    // the client must not care. The store's put_rejected counter is the
-    // observable for genuinely bad blobs.
-    Cfg.DfaTier->put(Req.Key, Req.Blob);
-    Response Ok;
-    Ok.K = Response::Kind::Ok;
-    respond(C, Ok, Version::V2);
-    return;
-  }
-  case Request::Kind::DfaStats: {
-    if (!Cfg.DfaTier) {
-      respond(C, errorResponse(ErrorCode::Unavailable, "no dfa tier"),
-              Version::V2);
-      return;
-    }
-    Response R;
-    R.K = Response::Kind::Stats;
-    R.Detail = Cfg.DfaTier->statsJson();
     respond(C, R, Version::V2);
     return;
   }

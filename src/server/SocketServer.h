@@ -79,10 +79,6 @@
 #include <unordered_map>
 #include <vector>
 
-namespace regel::dfad {
-class DfaTierStore;
-}
-
 namespace regel::server {
 
 struct ServerConfig {
@@ -109,14 +105,6 @@ struct ServerConfig {
   size_t MaxInflightPerConn = 32;
   /// Defaults every fresh connection's query state starts from.
   RegelConfig Defaults;
-  /// Shared DFA tier served over the v2 `dfa get/put/stats` frames (see
-  /// dfad/Tier.h and docs/PROTOCOL.md). Null = no tier attached: the
-  /// frames answer `error code=unavailable`. Set by examples/regel_dfad
-  /// (a process that is ONLY a tier) and by regel_server when it hosts
-  /// an in-process tier next to its engines. The store is internally
-  /// synchronized, so serving it from the loop thread needs no locking
-  /// here — the no-mutexes contract above still holds.
-  std::shared_ptr<dfad::DfaTierStore> DfaTier;
 };
 
 /// The poll()-based front-end. Construction binds nothing; start() opens

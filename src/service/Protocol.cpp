@@ -2,7 +2,6 @@
 
 #include "service/Protocol.h"
 
-#include "automata/Serialize.h"
 #include "engine/WorkerPool.h"
 
 #include <cerrno>
@@ -300,9 +299,6 @@ std::string regel::protocol::encodeRequest(const Request &R, Version V) {
     case Request::Kind::Health:
     case Request::Kind::Metrics:
     case Request::Kind::Trace:
-    case Request::Kind::DfaGet:
-    case Request::Kind::DfaPut:
-    case Request::Kind::DfaStats:
       return ""; // not expressible in v1
     }
     return "";
@@ -355,17 +351,6 @@ std::string regel::protocol::encodeRequest(const Request &R, Version V) {
     return "v2 health";
   case Request::Kind::Metrics:
     return "v2 metrics";
-  case Request::Kind::DfaGet:
-    Out = "v2 dfa get";
-    appendPair(Out, "key", R.Key);
-    return Out;
-  case Request::Kind::DfaPut:
-    Out = "v2 dfa put";
-    appendPair(Out, "key", R.Key);
-    appendPair(Out, "blob", R.Blob);
-    return Out;
-  case Request::Kind::DfaStats:
-    return "v2 dfa stats";
   default:
     return ""; // stateful v1 commands have no v2 form
   }
@@ -456,47 +441,6 @@ ErrorCode decodeRequestV2(const std::string &Line, Request &Out) {
     if (Toks.size() != 2)
       return ErrorCode::Malformed;
     Out.K = Request::Kind::Metrics;
-    return ErrorCode::None;
-  }
-  if (Type == "dfa") {
-    // `v2 dfa <get|put|stats> ...` — the tier frames. Same strictness as
-    // the rest of v2: unknown sub-command or key, missing required key,
-    // or an over-bound blob is rejected, never guessed at.
-    if (Toks.size() < 3)
-      return ErrorCode::Malformed;
-    const std::string &Sub = Toks[2];
-    if (Sub != "get" && Sub != "put" && Sub != "stats") {
-      Out.Text = Sub;
-      return ErrorCode::UnknownCommand;
-    }
-    bool SawKey = false, SawBlob = false;
-    for (size_t I = 3; I < Toks.size(); ++I) {
-      std::string Key, RawVal, Val;
-      if (!splitPair(Toks[I], Key, RawVal) || !unescapeValue(RawVal, Val))
-        return ErrorCode::Malformed;
-      if (Key == "key" && Sub != "stats" && !SawKey) {
-        if (Val.empty())
-          return ErrorCode::BadArgument;
-        Out.Key = Val;
-        SawKey = true;
-      } else if (Key == "blob" && Sub == "put" && !SawBlob) {
-        if (Val.size() > MaxDfaBlobBytes)
-          return ErrorCode::Oversized;
-        Out.Blob = Val;
-        SawBlob = true;
-      } else {
-        return ErrorCode::Malformed; // unknown/duplicate key: strict
-      }
-    }
-    if (Sub == "stats") {
-      if (Toks.size() != 3)
-        return ErrorCode::Malformed;
-      Out.K = Request::Kind::DfaStats;
-      return ErrorCode::None;
-    }
-    if (!SawKey || (Sub == "put" && !SawBlob))
-      return ErrorCode::Malformed;
-    Out.K = Sub == "get" ? Request::Kind::DfaGet : Request::Kind::DfaPut;
     return ErrorCode::None;
   }
   if (Type != "submit" && Type != "cancel" && Type != "trace") {
@@ -883,37 +827,6 @@ ErrorCode decodeResponseV2(const std::string &Line, Response &Out) {
     Out.K = Response::Kind::Trace;
     return ErrorCode::None;
   }
-  if (Type == "dfa") {
-    bool SawFound = false, SawKey = false, SawBlob = false;
-    if (!Pairs(2, [&](const std::string &K, const std::string &V) {
-          if (K == "found") {
-            if (V != "0" && V != "1")
-              return false;
-            Out.Found = V == "1";
-            SawFound = true;
-            return true;
-          }
-          if (K == "key") {
-            if (V.empty())
-              return false;
-            Out.Key = V;
-            SawKey = true;
-            return true;
-          }
-          if (K == "blob") {
-            if (V.size() > MaxDfaBlobBytes)
-              return false;
-            Out.Detail = V;
-            SawBlob = true;
-            return true;
-          }
-          return false;
-        }) ||
-        !SawFound || !SawKey || SawBlob != Out.Found)
-      return ErrorCode::Malformed;
-    Out.K = Response::Kind::Dfa;
-    return ErrorCode::None;
-  }
   if (Type == "health") {
     if (!Pairs(2, [&](const std::string &K, const std::string &V) {
           if (K == "healthy") {
@@ -988,7 +901,6 @@ std::string regel::protocol::encodeResponse(const Response &R, Version V) {
     case Response::Kind::Health:
     case Response::Kind::Metrics:
     case Response::Kind::Trace:
-    case Response::Kind::Dfa:
     case Response::Kind::None:
       return ""; // not expressible in v1
     }
@@ -1042,13 +954,6 @@ std::string regel::protocol::encodeResponse(const Response &R, Version V) {
     Out = "v2 trace";
     appendU64(Out, "id", R.Id);
     appendPair(Out, "json", R.Detail);
-    return Out;
-  case Response::Kind::Dfa:
-    Out = "v2 dfa found=";
-    Out += R.Found ? '1' : '0';
-    appendPair(Out, "key", R.Key);
-    if (R.Found)
-      appendPair(Out, "blob", R.Detail);
     return Out;
   case Response::Kind::Health:
     Out = "v2 health healthy=";

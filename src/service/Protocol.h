@@ -115,9 +115,6 @@ struct Request {
     Health,   ///< v2
     Metrics,  ///< v2: Prometheus-style metrics exposition fetch
     Trace,    ///< v2: Id = trace id (from a done frame's trace=)
-    DfaGet,   ///< v2: Key — fetch a DFA blob from the tier
-    DfaPut,   ///< v2: Key + Blob — offer a DFA blob to the tier
-    DfaStats, ///< v2: the tier's stats JSON
   };
 
   Kind K = Kind::None;
@@ -142,13 +139,6 @@ struct Request {
   bool HasDet = false; ///< det= explicitly present (0 and absent differ:
                        ///< absent inherits the server default)
   std::string Tag;
-
-  // v2 dfa get/put payload. Key is the tier's opaque cache key (the
-  // engine uses the canonical printRegex form); Blob is a serialized DFA
-  // (automata/Serialize.h), binary-safe through percent escaping. The
-  // decoder bounds the unescaped blob by MaxDfaBlobBytes (Oversized).
-  std::string Key;
-  std::string Blob;
 };
 
 /// One server -> client message, either version.
@@ -167,7 +157,6 @@ struct Response {
     Health, ///< v2: the health block below
     Metrics, ///< v2: Detail = Prometheus-style text exposition
     Trace,   ///< v2: Id = trace id, Detail = trace_event JSON
-    Dfa,     ///< v2: dfa get reply — Found, Key, Detail = blob when found
   };
 
   Kind K = Kind::None;
@@ -185,11 +174,6 @@ struct Response {
   /// Retained span-trace id of a finished job (v2 done `trace=`); 0 when
   /// the job's trace was not retained. Fetch it with a Trace request.
   uint64_t TraceId = 0;
-
-  // Dfa payload (v2): a dfa get reply echoes the key; the blob rides in
-  // Detail and is present exactly when Found.
-  bool Found = false;
-  std::string Key;
 
   // Health payload (v2).
   bool Healthy = true;

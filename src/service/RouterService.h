@@ -11,11 +11,11 @@
 //   * Cache-key affinity: a job's sketches hash to a stable affinity key
 //     (mix64-folded Sketch::hash, the same structural hash the sketch
 //     approximation store keys on), and key % N picks the home shard.
-//     The regex->DFA and approximation traffic a sketch generates is a
-//     function of the sketch, so pinning a given regex/sketch to one
-//     shard keeps its compiled DFAs hot in THAT shard's store instead of
-//     duplicating them across every backend — the property that lets N
-//     small caches behave like one big one.
+//     The approximation and SMT traffic a sketch generates is a function
+//     of the sketch, so pinning a given sketch to one shard keeps its
+//     cached entries hot in THAT shard's stores instead of duplicating
+//     them across every backend — the property that lets N small caches
+//     behave like one big one.
 //
 //   * Least-estimated-wait spillover: affinity must not pin work to a
 //     drowning shard. Each backend's health() exposes EstWaitMs (queue

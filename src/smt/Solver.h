@@ -35,10 +35,10 @@ struct SolveResult {
 
 /// Cross-run verdict store consulted by Solver::solve — the SMT
 /// memoization seam, implemented by the engine's ShardedSmtCache the way
-/// DfaStore is implemented by its ShardedDfaStore. A key is the canonical
-/// (hash-consed, sorted, de-duplicated) conjunction of the solver's
-/// constraints plus the full declared-domain vector; the verdict for a
-/// key never changes, and a Sat entry's model is the exact model the
+/// SketchApproxStore is implemented by its ShardedApproxStore. A key is
+/// the canonical (hash-consed, sorted, de-duplicated) conjunction of the
+/// solver's constraints plus the full declared-domain vector; the verdict
+/// for a key never changes, and a Sat entry's model is the exact model the
 /// solver's deterministic ascending-order DFS would produce. lookup may
 /// also answer Unsat for a query whose conjunct set is a superset of a
 /// cached Unsat formula over identical domains (adding conjuncts only

@@ -23,7 +23,7 @@ bool isTop(const RegexPtr &R) { return regexEquals(R, topRegex()); }
 bool isBot(const RegexPtr &R) { return R->getKind() == RegexKind::EmptySet; }
 
 /// Operator application with top/bottom simplification; keeping the
-/// approximation regexes small keeps their DFAs (and the cache) small.
+/// approximation regexes small keeps their membership checks cheap.
 RegexPtr mkOp(RegexKind K, std::vector<RegexPtr> Kids,
               const std::vector<int> &Ints = {}) {
   switch (K) {
@@ -231,35 +231,27 @@ Approx regel::approximatePartial(const PNodePtr &N, SketchApproxStore *Memo) {
 }
 
 bool FeasibilityChecker::overAcceptsAllPos(const RegexPtr &Over) {
-  auto [It, Inserted] = OverVerdict.try_emplace(Over->hash(), true);
+  auto [It, Inserted] = OverVerdict.try_emplace(Over, true);
   if (Inserted) {
-    if (Cache) {
-      It->second = Cache->acceptsAll(Over, E.Pos);
-    } else {
-      DirectMatcher M(Over);
-      for (const std::string &S : E.Pos)
-        if (!M.matches(S)) {
-          It->second = false;
-          break;
-        }
-    }
+    DirectMatcher M(Over);
+    for (const std::string &S : E.Pos)
+      if (!M.matches(S)) {
+        It->second = false;
+        break;
+      }
   }
   return It->second;
 }
 
 bool FeasibilityChecker::underRejectsAllNeg(const RegexPtr &Under) {
-  auto [It, Inserted] = UnderVerdict.try_emplace(Under->hash(), true);
+  auto [It, Inserted] = UnderVerdict.try_emplace(Under, true);
   if (Inserted) {
-    if (Cache) {
-      It->second = Cache->rejectsAll(Under, E.Neg);
-    } else {
-      DirectMatcher M(Under);
-      for (const std::string &S : E.Neg)
-        if (M.matches(S)) {
-          It->second = false;
-          break;
-        }
-    }
+    DirectMatcher M(Under);
+    for (const std::string &S : E.Neg)
+      if (M.matches(S)) {
+        It->second = false;
+        break;
+      }
   }
   return It->second;
 }
@@ -274,11 +266,4 @@ bool FeasibilityChecker::infeasible(const PartialRegex &P) {
   if (!isBot(A.Under) && !E.Neg.empty() && !underRejectsAllNeg(A.Under))
     return true;
   return false;
-}
-
-bool regel::infeasible(const PartialRegex &P, const Examples &E,
-                       DfaCache &Cache) {
-  (void)Cache;
-  FeasibilityChecker Checker(E);
-  return Checker.infeasible(P);
 }

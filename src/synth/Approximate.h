@@ -12,8 +12,9 @@
 #ifndef REGEL_SYNTH_APPROXIMATE_H
 #define REGEL_SYNTH_APPROXIMATE_H
 
-#include "automata/Compile.h"
 #include "synth/PartialRegex.h"
+
+#include <unordered_map>
 
 namespace regel {
 
@@ -62,18 +63,21 @@ Approx approximatePartial(const PNodePtr &N,
 /// completed consistently with the examples. One instance per synthesis
 /// run; sibling expansions share most of their approximations, so the
 /// per-regex verdicts (over accepts all positives / under rejects all
-/// negatives) are cached by structural hash.
+/// negatives) are memoized. Membership runs through the direct matcher:
+/// approximation regexes are mostly checked against a handful of short
+/// examples, where compiling a DFA per regex costs far more than it saves.
 class FeasibilityChecker {
 public:
-  explicit FeasibilityChecker(const Examples &E) : E(E) {}
+  /// Hash for the verdict memos. Identity is always full structural
+  /// equality (RegexPtrEq); the hash only picks buckets, so tests can
+  /// inject a degenerate one to pin that. Null selects Regex::hash.
+  using HashFn = size_t (*)(const RegexPtr &);
+
+  explicit FeasibilityChecker(const Examples &E, HashFn H = nullptr)
+      : E(E), OverVerdict(0, MemoHash{H}), UnderVerdict(0, MemoHash{H}) {}
 
   /// Attaches a cross-run sketch-approximation memo (may be nullptr).
   void setApproxMemo(SketchApproxStore *M) { Memo = M; }
-
-  /// Routes membership queries for the (heavily repeated) approximation
-  /// regexes through \p C instead of the direct matcher; with a shared
-  /// backing store attached to the cache, their DFAs amortize across runs.
-  void setDfaCache(DfaCache *C) { Cache = C; }
 
   /// True when \p P is provably inconsistent with the examples.
   bool infeasible(const PartialRegex &P);
@@ -81,19 +85,23 @@ public:
   uint64_t checksRun() const { return Checks; }
 
 private:
+  struct MemoHash {
+    HashFn Fn;
+    size_t operator()(const RegexPtr &R) const {
+      return Fn ? Fn(R) : R->hash();
+    }
+  };
+  using VerdictMemo = std::unordered_map<RegexPtr, bool, MemoHash, RegexPtrEq>;
+
   bool overAcceptsAllPos(const RegexPtr &Over);
   bool underRejectsAllNeg(const RegexPtr &Under);
 
   const Examples &E;
   SketchApproxStore *Memo = nullptr;
-  DfaCache *Cache = nullptr;
-  std::unordered_map<size_t, bool> OverVerdict;
-  std::unordered_map<size_t, bool> UnderVerdict;
+  VerdictMemo OverVerdict;
+  VerdictMemo UnderVerdict;
   uint64_t Checks = 0;
 };
-
-/// Convenience single-shot form (used by tests).
-bool infeasible(const PartialRegex &P, const Examples &E, DfaCache &Cache);
 
 } // namespace regel
 

@@ -20,7 +20,6 @@
 namespace regel {
 
 class Clock;
-class DfaStore;
 class SketchApproxStore;
 
 namespace smt {
@@ -88,16 +87,9 @@ struct SynthConfig {
   /// timeline as the job's deadline and residency SLA.
   const Clock *TimeSource = nullptr;
 
-  /// Cross-run regex->DFA store consulted/filled by this run's DfaCache
-  /// (thread-safe, owned by the engine; nullptr = run-local caching only).
-  /// The store may be bounded: publish is keep-or-drop and a previously
-  /// stored DFA can be evicted between lookups, in which case the run just
-  /// recompiles it — correctness never depends on an entry staying put.
-  DfaStore *SharedDfa = nullptr;
-
   /// Cross-run sketch-approximation memo (thread-safe, owned by the
-  /// engine; nullptr = recompute per run). Like SharedDfa, the memo may
-  /// evict: a missing approximation is recomputed, deterministically.
+  /// engine; nullptr = recompute per run). The memo may evict: a missing
+  /// approximation is recomputed, deterministically.
   SketchApproxStore *SharedApprox = nullptr;
 
   /// Cross-run SMT verdict store (thread-safe, owned by the engine;
@@ -108,9 +100,8 @@ struct SynthConfig {
   smt::VerdictStore *SharedSmt = nullptr;
 
   /// Instrumentation sinks (owned by the engine, outliving the run like
-  /// TimeSource; nullptr = no instrumentation): DFA-compile and SMT-
-  /// inference latency histograms plus the job's span trace. See
-  /// obs/Probe.h.
+  /// TimeSource; nullptr = no instrumentation): the SMT-inference latency
+  /// histogram plus the job's span trace. See obs/Probe.h.
   const obs::SynthProbe *Probe = nullptr;
 
   /// Character classes available to hole expansion (Fig. 10 rule 2's C).

@@ -13,8 +13,6 @@
 #include "synth/InferConstants.h"
 
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <queue>
 #include <unordered_set>
 
@@ -87,9 +85,8 @@ bool Synthesizer::checkConcrete(const RegexPtr &R, const Examples &E,
     }
   }
 
-  // Concrete candidates are mostly distinct, so compiling a DFA for each
-  // would defeat the cache; the memoized direct matcher is cheaper on the
-  // short example strings.
+  // Concrete candidates are mostly distinct; the memoized direct matcher
+  // is cheap on the short example strings.
   DirectMatcher Matcher(R);
   bool AllPos = true;
   for (const std::string &S : E.Pos)
@@ -119,45 +116,16 @@ SynthResult Synthesizer::run(const SketchPtr &S, const Examples &E) {
   SynthResult Result;
   Stopwatch Watch(Cfg.TimeSource);
   Deadline Budget(Cfg.BudgetMs, Cfg.CancelFlag, Cfg.TimeSource);
-  // Delta-based so a reused Synthesizer (persistent Cache) reports only
-  // this run's DFA traffic.
-  const uint64_t CacheHits0 = Cache.hits();
-  const uint64_t CacheMisses0 = Cache.misses();
-  const uint64_t CacheShared0 = Cache.sharedHits();
   ContainsFailed.clear();
   AtLeastFailed.clear();
-  // Instrumentation: DFA compilations pay their timing through the cache;
-  // SMT inference is timed around each inferConstants call below. The
-  // probe's clock times spans on the same (possibly virtual) timeline as
-  // the search budget.
-  Cache.setProbe(Cfg.Probe);
+  // Instrumentation: SMT inference is timed around each inferConstants
+  // call below. The probe's clock times spans on the same (possibly
+  // virtual) timeline as the search budget.
   const bool TimeSmt =
       Cfg.Probe && Cfg.Probe->Clk &&
       (Cfg.Probe->SmtInferUs || Cfg.Probe->Trace);
   FeasibilityChecker Checker(E);
   Checker.setApproxMemo(Cfg.SharedApprox);
-  if (Cfg.SharedDfa) {
-    // With a cross-run DFA store attached, feasibility checks route their
-    // membership queries through the cache so approximation DFAs (heavily
-    // repeated across sketches and jobs) are compiled once per process.
-    // Only sound when every example lies in the DFA alphabet: on chars
-    // outside [MinAlphabetChar, MaxAlphabetChar] the DFA rejects
-    // unconditionally while the direct matcher complements through Not,
-    // and a disagreement on an over-approximation would prune feasible
-    // candidates.
-    Cache.setSharedStore(Cfg.SharedDfa);
-    auto inAlphabet = [](const std::vector<std::string> &Strs) {
-      for (const std::string &S : Strs)
-        for (char C : S) {
-          unsigned char U = static_cast<unsigned char>(C);
-          if (U < MinAlphabetChar || U > MaxAlphabetChar)
-            return false;
-        }
-      return true;
-    };
-    if (inAlphabet(E.Pos) && inAlphabet(E.Neg))
-      Checker.setDfaCache(&Cache);
-  }
 
   // Augment the class pool with punctuation/symbol literals from the
   // examples so constants like <.> or <-> are reachable by pure search.
@@ -204,13 +172,13 @@ SynthResult Synthesizer::run(const SketchPtr &S, const Examples &E) {
   };
 
   // Structural dedup of emitted solutions.
-  std::unordered_set<size_t> SolutionHashes;
+  std::unordered_set<RegexPtr, RegexPtrHash, RegexPtrEq> Emitted;
   bool Done = false;
 
   auto recordIfSolution = [&](RegexPtr R) {
     if (!checkConcrete(R, E, Result.Stats))
       return;
-    if (!SolutionHashes.insert(R->hash()).second)
+    if (!Emitted.insert(R).second)
       return;
     Result.Solutions.push_back(std::move(R));
     if (Result.Solutions.size() >= Cfg.TopK)
@@ -241,14 +209,9 @@ SynthResult Synthesizer::run(const SketchPtr &S, const Examples &E) {
       Result.Cancelled = Budget.cancelled();
       break;
     }
-    unsigned PopCost = Worklist.top().Cost;
     PartialRegex P = Worklist.top().P;
     Worklist.pop();
     ++Result.Stats.Pops;
-    if (getenv("REGEL_TRACE") && Result.Stats.Pops <= 400)
-      fprintf(stderr, "pop %llu cost=%u %s\n",
-              (unsigned long long)Result.Stats.Pops, PopCost,
-              P.str().c_str());
 
     if (P.isSymbolic()) {
       // SMT-guided inference of the integer constants (Sec. 4.2). Timed
@@ -313,11 +276,6 @@ SynthResult Synthesizer::run(const SketchPtr &S, const Examples &E) {
 
   Result.Exhausted = Worklist.empty() && !Result.TimedOut &&
                      Result.Solutions.size() < Cfg.TopK;
-  Result.Stats.DfaLocalHits = Cache.hits() - CacheHits0;
-  Result.Stats.DfaSharedHits = Cache.sharedHits() - CacheShared0;
-  const uint64_t Misses = Cache.misses() - CacheMisses0;
-  Result.Stats.DfaGets = Result.Stats.DfaLocalHits + Misses;
-  Result.Stats.DfaCompiles = Misses - Result.Stats.DfaSharedHits;
   Result.Stats.TimeMs = Watch.elapsedMs();
   return Result;
 }

@@ -11,11 +11,11 @@
 #ifndef REGEL_SYNTH_SYNTHESIZER_H
 #define REGEL_SYNTH_SYNTHESIZER_H
 
-#include "automata/Compile.h"
 #include "synth/Config.h"
 #include "synth/PartialRegex.h"
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace regel {
@@ -39,14 +39,6 @@ struct SynthStats {
   uint64_t SmtUnsatShortCircuits = 0;
   uint64_t InferIterations = 0;
 
-  // End-to-end DFA resolution for this run: how the run's DFA needs were
-  // met. DfaGets = DfaLocalHits + shared-store hits + DfaCompiles; the
-  // compile count is what a bounded shared store actually costs, since a
-  // re-looked-up evicted entry turns into a compile, not a failure.
-  uint64_t DfaGets = 0;      ///< requests against the run-local cache
-  uint64_t DfaLocalHits = 0; ///< served without consulting the store
-  uint64_t DfaSharedHits = 0; ///< local misses served by the shared store
-  uint64_t DfaCompiles = 0;  ///< full compilations this run paid
   double TimeMs = 0;
 };
 
@@ -62,8 +54,8 @@ struct SynthResult {
   bool solved() const { return !Solutions.empty(); }
 };
 
-/// The sketch-guided PBE engine. One instance per synthesis task (it owns a
-/// DFA cache that persists across candidate checks within the run).
+/// The sketch-guided PBE engine. One instance per synthesis task (it owns
+/// the subsumption memos that persist across candidate checks within a run).
 class Synthesizer {
 public:
   explicit Synthesizer(SynthConfig Cfg = SynthConfig());
@@ -71,16 +63,12 @@ public:
   /// Runs the Fig. 9 algorithm on sketch \p S and examples \p E.
   SynthResult run(const SketchPtr &S, const Examples &E);
 
-  /// The regex->DFA cache (exposed so drivers can share/reset it).
-  DfaCache &cache() { return Cache; }
-
   const SynthConfig &config() const { return Cfg; }
 
 private:
   bool checkConcrete(const RegexPtr &R, const Examples &E, SynthStats &Stats);
 
   SynthConfig Cfg;
-  DfaCache Cache;
 
   /// Subsumption memos (Sec. 6), reset per run: bodies r for which
   /// Contains(r) failed a positive example, and the smallest k for which

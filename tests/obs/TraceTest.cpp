@@ -120,12 +120,12 @@ TEST(TraceContext, SpanCapDropsAndCounts) {
 }
 
 TEST(TraceContext, EnvelopeSpansBypassTheCap) {
-  // A long search fills the cap with detail spans (DFA compiles, SMT
-  // calls) BEFORE completion records the job envelope. The envelope —
+  // A long search fills the cap with detail spans (SMT inference calls)
+  // BEFORE completion records the job envelope. The envelope —
   // the spans a slow-job investigation reads first — must still land.
   TraceContext Ctx(/*Id=*/1, /*Sampled=*/true, /*MaxSpans=*/4);
   for (int I = 0; I < 10; ++I)
-    Ctx.span("dfa_compile", "dfa", I * 10, 5, /*Tid=*/1);
+    Ctx.span("smt_infer", "smt", I * 10, 5, /*Tid=*/1);
   Ctx.spanEnvelope("queue", "job", 0, 30);
   Ctx.spanEnvelope("exec", "job", 30, 70);
   Ctx.spanEnvelope("job", "job", 0, 100);

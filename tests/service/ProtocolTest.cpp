@@ -10,7 +10,6 @@
 
 #include "service/Protocol.h"
 
-#include "automata/Serialize.h"
 #include "sketch/SketchParser.h"
 
 #include "support/Random.h"
@@ -205,100 +204,23 @@ TEST(ProtocolRequest, RoundTripV2MetricsAndTrace) {
   EXPECT_EQ(decodeRequest("trace 3", Out), ErrorCode::UnknownCommand);
 }
 
-TEST(ProtocolRequest, RoundTripV2DfaFrames) {
-  {
-    Request R;
-    R.K = Request::Kind::DfaGet;
-    R.Key = "Concat(<cap>,Repeat(<num>,2))"; // keys are canonical regex text
-    Request Out = roundTripRequest(R, Version::V2);
-    EXPECT_EQ(Out.K, Request::Kind::DfaGet);
-    EXPECT_EQ(Out.Key, R.Key);
-  }
-  {
-    Request R;
-    R.K = Request::Kind::DfaPut;
-    R.Key = "k with spaces=and%percent";
-    R.Blob = std::string("\x00\x01\xff binary\n", 10); // binary-safe
-    Request Out = roundTripRequest(R, Version::V2);
-    EXPECT_EQ(Out.K, Request::Kind::DfaPut);
-    EXPECT_EQ(Out.Key, R.Key);
-    EXPECT_EQ(Out.Blob, R.Blob);
-  }
-  {
-    Request R;
-    R.K = Request::Kind::DfaStats;
-    EXPECT_EQ(roundTripRequest(R, Version::V2).K, Request::Kind::DfaStats);
-  }
-  // Tier frames are v2-only; v1 stays byte-frozen.
-  Request G;
-  G.K = Request::Kind::DfaGet;
-  G.Key = "k";
-  EXPECT_EQ(encodeRequest(G, Version::V1), "");
+TEST(ProtocolRequest, RetiredDfaFramesDecodeToErrors) {
+  // The v2 `dfa get/put/stats` frames of the removed DFA tier are no
+  // longer part of the protocol: each decodes to an error verdict the
+  // server answers with `v2 error`, whatever its payload.
   Request Out;
-  EXPECT_EQ(decodeRequest("dfa get key=k", Out), ErrorCode::UnknownCommand);
-}
-
-TEST(ProtocolRequest, DfaFramesRejectMalformedStrictly) {
-  Request Out;
-  // Missing required keys.
-  EXPECT_EQ(decodeRequest("v2 dfa", Out), ErrorCode::Malformed);
-  EXPECT_EQ(decodeRequest("v2 dfa get", Out), ErrorCode::Malformed);
-  EXPECT_EQ(decodeRequest("v2 dfa put key=k", Out), ErrorCode::Malformed);
-  EXPECT_EQ(decodeRequest("v2 dfa put blob=aa", Out), ErrorCode::Malformed);
-  // Unknown sub-command carries the token back for the error echo.
-  EXPECT_EQ(decodeRequest("v2 dfa fetch key=k", Out),
-            ErrorCode::UnknownCommand);
-  EXPECT_EQ(Out.Text, "fetch");
-  // Empty key is an argument error, not a frame error.
-  EXPECT_EQ(decodeRequest("v2 dfa get key=", Out), ErrorCode::BadArgument);
-  // Strictness: unknown keys, duplicates, blob on get, args on stats.
-  EXPECT_EQ(decodeRequest("v2 dfa get key=k extra=1", Out),
-            ErrorCode::Malformed);
-  EXPECT_EQ(decodeRequest("v2 dfa get key=a key=b", Out),
-            ErrorCode::Malformed);
-  EXPECT_EQ(decodeRequest("v2 dfa get key=k blob=aa", Out),
-            ErrorCode::Malformed);
-  EXPECT_EQ(decodeRequest("v2 dfa stats key=k", Out), ErrorCode::Malformed);
-  // Bad escapes and an unescaped blob over the codec bound.
-  EXPECT_EQ(decodeRequest("v2 dfa get key=%zz", Out), ErrorCode::Malformed);
-  const std::string Big(2 * MaxDfaBlobBytes + 2, 'a'); // unescapes to > cap
-  EXPECT_EQ(decodeRequest("v2 dfa put key=k blob=" + Big, Out),
-            ErrorCode::Oversized);
-}
-
-TEST(ProtocolResponse, RoundTripV2DfaFoundAndMiss) {
-  {
-    Response R;
-    R.K = Response::Kind::Dfa;
-    R.Found = true;
-    R.Key = "some key";
-    R.Detail = std::string("RD\x01\x02\x00 blob bytes \xff", 17);
-    Response Out = roundTripResponse(R, Version::V2);
-    EXPECT_EQ(Out.K, Response::Kind::Dfa);
-    EXPECT_TRUE(Out.Found);
-    EXPECT_EQ(Out.Key, R.Key);
-    EXPECT_EQ(Out.Detail, R.Detail);
+  for (const std::string &Line :
+       {std::string("v2 dfa get key=Concat(<cap>%2CRepeat(<num>%2C2))"),
+        std::string("v2 dfa put key=k blob=%00%01%ff"),
+        std::string("v2 dfa stats"), std::string("v2 dfa"),
+        "v2 dfa put key=k blob=" + std::string(40000, 'a')}) {
+    Out = Request();
+    EXPECT_EQ(decodeRequest(Line, Out), ErrorCode::UnknownCommand) << Line;
+    EXPECT_EQ(Out.Text, "dfa") << Line;
   }
-  {
-    Response R;
-    R.K = Response::Kind::Dfa;
-    R.Found = false;
-    R.Key = "k";
-    Response Out = roundTripResponse(R, Version::V2);
-    EXPECT_FALSE(Out.Found);
-    EXPECT_EQ(Out.Key, "k");
-    EXPECT_EQ(Out.Detail, "");
-  }
-  // found and blob must agree: a miss carrying a blob (or a hit without
-  // one) is malformed, so a client can trust Found == blob-present.
-  Response Out;
-  EXPECT_EQ(decodeResponse("v2 dfa found=0 key=k blob=aa", Version::V2, Out),
-            ErrorCode::Malformed);
-  EXPECT_EQ(decodeResponse("v2 dfa found=1 key=k", Version::V2, Out),
-            ErrorCode::Malformed);
-  EXPECT_EQ(decodeResponse("v2 dfa found=2 key=k", Version::V2, Out),
-            ErrorCode::Malformed);
-  EXPECT_EQ(decodeResponse("v2 dfa found=1 key=", Version::V2, Out),
+  // The tier's reply frame is no longer a response either.
+  Response R;
+  EXPECT_EQ(decodeResponse("v2 dfa found=1 key=k blob=aa", Version::V2, R),
             ErrorCode::Malformed);
 }
 

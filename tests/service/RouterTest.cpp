@@ -13,11 +13,9 @@
 #include "automata/Compile.h"
 #include "automata/Sample.h"
 #include "core/Regel.h"
-#include "dfad/Tier.h"
 #include "engine/Engine.h"
 #include "regex/Matcher.h"
 #include "regex/Parser.h"
-#include "regex/Printer.h"
 #include "service/LocalService.h"
 #include "support/Random.h"
 
@@ -152,64 +150,6 @@ TEST(RouterService, DeterministicAnswersMatchSingleLocalEngine) {
       ++Solved;
   }
   EXPECT_GE(Solved, Tasks.size() / 2);
-}
-
-TEST(RouterService, SharedDfaTierPreservesAnswersByteForByte) {
-  // The tier acceptance criterion: a router fleet whose engines share
-  // one in-process DFA tier must return byte-identical answers to a
-  // single local engine on the corpus. The tier may change WHERE a DFA
-  // comes from (blob fetch vs compile), never WHAT any search finds.
-  std::vector<CorpusTask> Tasks = corpusTasks(16);
-  ASSERT_GE(Tasks.size(), 8u);
-
-  LocalService Single(
-      std::make_shared<engine::Engine>(engine::EngineConfig{
-          /*Threads=*/1, /*CacheShards=*/8, nullptr}));
-
-  // Two tier-enabled backends over ONE shared store — the regel_server
-  // [dfa-tier]=1 wiring in miniature.
-  auto Shared = std::make_shared<dfad::DfaTierStore>();
-  auto tierBackend = [&] {
-    engine::EngineConfig EC;
-    EC.Threads = 2;
-    EC.CacheShards = 8;
-    EC.TierClient = std::make_shared<dfad::LocalDfaTier>(Shared);
-    return std::make_shared<LocalService>(
-        std::make_shared<engine::Engine>(EC));
-  };
-  RouterService Router({tierBackend(), tierBackend()});
-
-  std::vector<engine::JobRequest> Requests;
-  for (const CorpusTask &T : Tasks)
-    Requests.push_back(deterministicRequest(T));
-
-  std::vector<Ticket> SingleTickets, RouterTickets;
-  std::map<Ticket, engine::JobResult> Ref =
-      runAll(Single, Requests, SingleTickets);
-  std::map<Ticket, engine::JobResult> Got =
-      runAll(Router, Requests, RouterTickets);
-
-  for (size_t I = 0; I < Tasks.size(); ++I) {
-    const engine::JobResult &A = Ref[SingleTickets[I]];
-    const engine::JobResult &B = Got[RouterTickets[I]];
-    ASSERT_EQ(A.Answers.size(), B.Answers.size()) << "task " << I;
-    for (size_t K = 0; K < A.Answers.size(); ++K) {
-      // Byte-identical printed regexes, not merely equivalent languages.
-      EXPECT_EQ(printRegex(A.Answers[K].Regex),
-                printRegex(B.Answers[K].Regex))
-          << "task " << I << " answer " << K;
-      EXPECT_EQ(A.Answers[K].SketchRank, B.Answers[K].SketchRank);
-    }
-  }
-
-  // The tier actually participated: engines published blobs into it and
-  // the router's merged snapshot carries the tier traffic.
-  EXPECT_GT(Shared->size(), 0u) << "no engine published into the tier";
-  engine::StatsSnapshot Fleet;
-  ASSERT_TRUE(Router.statsSnapshot(Fleet));
-  EXPECT_GT(Fleet.DfaTierPuts, 0u);
-  EXPECT_EQ(Fleet.DfaGets,
-            Fleet.DfaLocalHits + Fleet.DfaSharedHits + Fleet.DfaCompiles);
 }
 
 TEST(RouterService, SameAffinityKeySameBackend) {

@@ -181,3 +181,27 @@ TEST(FeasibilityChecker, CachesVerdicts) {
   EXPECT_TRUE(Checker.infeasible(P));
   EXPECT_EQ(Checker.checksRun(), 2u);
 }
+
+TEST(FeasibilityChecker, VerdictMemoKeysOnFullIdentityNotHash) {
+  // Every key collides under a constant hash. A memo keyed by the hash
+  // alone would hand the second regex the first one's verdict; keyed by
+  // the regex itself, the two distinct regexes get separate verdicts in
+  // either order.
+  Examples E;
+  E.Pos = {"123"};
+  E.Neg = {};
+  auto Collide = [](const RegexPtr &) -> size_t { return 42; };
+  PartialRegex Digits(PNode::leafNode(parseRegex("Repeat(<num>,3)")), 0);
+  PartialRegex Letters(PNode::leafNode(parseRegex("Repeat(<let>,3)")), 0);
+
+  FeasibilityChecker DigitsFirst(E, Collide);
+  EXPECT_FALSE(DigitsFirst.infeasible(Digits));
+  EXPECT_TRUE(DigitsFirst.infeasible(Letters));
+
+  FeasibilityChecker LettersFirst(E, Collide);
+  EXPECT_TRUE(LettersFirst.infeasible(Letters));
+  EXPECT_FALSE(LettersFirst.infeasible(Digits));
+  // A structurally equal regex (a distinct object) reuses the verdict.
+  PartialRegex DigitsAgain(PNode::leafNode(parseRegex("Repeat(<num>,3)")), 0);
+  EXPECT_FALSE(LettersFirst.infeasible(DigitsAgain));
+}

@@ -57,8 +57,6 @@
 #include "engine/Engine.h"
 #include "obs/Metrics.h"
 #include "regex/Parser.h"
-#include "service/LocalService.h"
-#include "service/RouterService.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -275,93 +273,6 @@ OverloadReport runOverloadMode(bool Shedding, unsigned Threads, size_t Jobs,
   Rep.FailedQueueMsAvg = Failed ? FailedQueueSum / double(Failed) : 0;
   Rep.SolvedP95Ms = percentile(SolvedTotal, 0.95);
   return Rep;
-}
-
-/// One router configuration driven through the SynthService seam: the
-/// whole corpus submitted as one saturating batch over N in-process
-/// backends (fresh engines + caches each), drained through the router's
-/// completion stream.
-struct RouterReport {
-  unsigned Backends = 0;
-  unsigned ThreadsPer = 0;
-  size_t Jobs = 0;
-  size_t Solved = 0;
-  double WallMs = 0;
-  double JobsPerSec = 0;
-  double P50Ms = 0;
-  double P95Ms = 0;
-  uint64_t Spilled = 0;
-  std::vector<uint64_t> PerBackend;
-};
-
-RouterReport runRouterPass(unsigned Backends, unsigned ThreadsPer,
-                           const std::vector<data::Benchmark> &Corpus,
-                           int64_t BudgetMs) {
-  std::vector<std::shared_ptr<service::SynthService>> Bk;
-  for (unsigned I = 0; I < Backends; ++I) {
-    engine::EngineConfig EC;
-    EC.Threads = ThreadsPer;
-    Bk.push_back(std::make_shared<service::LocalService>(
-        std::make_shared<engine::Engine>(EC)));
-  }
-  service::RouterService Router(std::move(Bk));
-
-  Stopwatch Wall;
-  std::vector<service::Ticket> Tickets;
-  Tickets.reserve(Corpus.size());
-  for (const data::Benchmark &B : Corpus) {
-    engine::JobRequest R;
-    R.Sketches = sketchesFor(B);
-    R.E = B.Initial;
-    R.TopK = 1;
-    R.BudgetMs = BudgetMs;
-    R.Tag = B.Id;
-    Tickets.push_back(Router.submit(std::move(R)));
-  }
-  RouterReport Rep;
-  Rep.Backends = Backends;
-  Rep.ThreadsPer = ThreadsPer;
-  Rep.Jobs = Tickets.size();
-  std::vector<double> Latencies;
-  Latencies.reserve(Tickets.size());
-  size_t Done = 0;
-  while (Done < Tickets.size())
-    for (service::Completion &C : Router.waitCompleted(250)) {
-      Latencies.push_back(C.Result.TotalMs);
-      if (C.Result.solved())
-        ++Rep.Solved;
-      ++Done;
-    }
-  Rep.WallMs = Wall.elapsedMs();
-  Rep.JobsPerSec =
-      Rep.WallMs > 0 ? static_cast<double>(Rep.Jobs) * 1000.0 / Rep.WallMs
-                     : 0;
-  Rep.P50Ms = percentile(Latencies, 0.50);
-  Rep.P95Ms = percentile(Latencies, 0.95);
-  service::RouterStats RS = Router.stats();
-  Rep.Spilled = RS.Spilled;
-  Rep.PerBackend = RS.PerBackend;
-  return Rep;
-}
-
-void appendRouterJson(std::string &Out, const RouterReport &R) {
-  char Buf[512];
-  std::snprintf(Buf, sizeof(Buf),
-                "    {\"backends\":%u,\"threads_per_backend\":%u,"
-                "\"total_workers\":%u,\"jobs\":%zu,\"solved\":%zu,"
-                "\"wall_ms\":%.1f,\"jobs_per_sec\":%.3f,"
-                "\"p50_ms\":%.1f,\"p95_ms\":%.1f,\"spilled\":%llu,"
-                "\"routed_per_backend\":[",
-                R.Backends, R.ThreadsPer, R.Backends * R.ThreadsPer, R.Jobs,
-                R.Solved, R.WallMs, R.JobsPerSec, R.P50Ms, R.P95Ms,
-                (unsigned long long)R.Spilled);
-  Out += Buf;
-  for (size_t I = 0; I < R.PerBackend.size(); ++I) {
-    if (I)
-      Out += ',';
-    Out += std::to_string(R.PerBackend[I]);
-  }
-  Out += "]}";
 }
 
 /// Jobs/sec over a stream of trivial concrete-sketch jobs with the
@@ -762,58 +673,6 @@ int main() {
                   "\n    ],\n    \"avg_queue_ms_saved_per_failed_job\": "
                   "%.1f\n  }",
                   QueueSaved);
-    Json += Buf;
-  }
-  // Router scaling: the saturating corpus batch through the service
-  // seam's RouterService — 1 backend at the full worker count, 2 backends
-  // splitting the same worker total (equal-resource comparison: what
-  // sharding costs/buys with fixed compute), and 2 backends at the full
-  // count each (the scale-out row: what adding a shard buys when the
-  // hardware is there). Affinity hashing keeps each benchmark's sketch
-  // traffic on one shard's caches; `spilled` counts load-balancing
-  // overrides.
-  const bool RunRouter = envInt("REGEL_ROUTER", 1) != 0;
-  if (RunRouter) {
-    const unsigned HalfThreads = std::max(1u, Threads / 2);
-    std::printf("router: corpus batch over 1x%u / 2x%u / 2x%u local "
-                "backends...\n",
-                Threads, HalfThreads, Threads);
-    RouterReport R1 = runRouterPass(1, Threads, Corpus, BudgetMs);
-    std::printf("  1 backend  x %u workers: %.2f jobs/sec (p95 %.0f ms)\n",
-                Threads, R1.JobsPerSec, R1.P95Ms);
-    RouterReport R2eq = runRouterPass(2, HalfThreads, Corpus, BudgetMs);
-    std::printf("  2 backends x %u workers: %.2f jobs/sec (p95 %.0f ms, "
-                "%llu spilled, split %llu/%llu)\n",
-                HalfThreads, R2eq.JobsPerSec, R2eq.P95Ms,
-                (unsigned long long)R2eq.Spilled,
-                (unsigned long long)R2eq.PerBackend[0],
-                (unsigned long long)R2eq.PerBackend[1]);
-    RouterReport R2x = runRouterPass(2, Threads, Corpus, BudgetMs);
-    std::printf("  2 backends x %u workers: %.2f jobs/sec (p95 %.0f ms)\n",
-                Threads, R2x.JobsPerSec, R2x.P95Ms);
-    const double EqualSpeedup =
-        R1.JobsPerSec > 0 ? R2eq.JobsPerSec / R1.JobsPerSec : 0;
-    const double ScaledSpeedup =
-        R1.JobsPerSec > 0 ? R2x.JobsPerSec / R1.JobsPerSec : 0;
-    std::printf("  equal-worker speedup %.2fx, scaled (2x workers) "
-                "%.2fx\n",
-                EqualSpeedup, ScaledSpeedup);
-    if (EqualSpeedup < 1.5)
-      std::printf("note: in-process backends share one machine, so at "
-                  "equal total workers the router adds isolation, not "
-                  "compute — the scaled row (and N processes via "
-                  "RemoteService) is where throughput multiplies\n");
-
-    Json += ",\n  \"router_scaling\": {\n    \"modes\": [\n";
-    appendRouterJson(Json, R1);
-    Json += ",\n";
-    appendRouterJson(Json, R2eq);
-    Json += ",\n";
-    appendRouterJson(Json, R2x);
-    std::snprintf(Buf, sizeof(Buf),
-                  "\n    ],\n    \"equal_worker_speedup\": %.3f,\n"
-                  "    \"scaled_speedup\": %.3f\n  }",
-                  EqualSpeedup, ScaledSpeedup);
     Json += Buf;
   }
   // Observability overhead: the same trivial job stream with the metrics

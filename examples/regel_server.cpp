@@ -1,7 +1,7 @@
 //===- examples/regel_server.cpp - Event-driven synthesis server ----------===//
 //
 // Build & run:  ./build/examples/regel_server [port] [threads] [cache-cap]
-//                                             [high-water] [shed] [backends]
+//                                             [high-water] [shed]
 //                                             [metrics-every]
 //
 // The socket front-end over the async engine API (src/server): one
@@ -23,12 +23,6 @@
 // `priority <interactive|batch|background>` picks the scheduling class,
 // so one client's batch fan-out cannot starve another's interactive
 // query.
-//
-// With [backends] > 1 (default 1) the server fronts a RouterService over
-// that many independent engines ([threads] workers EACH, separate capped
-// caches): jobs route by sketch-affinity hashing with least-estimated-
-// wait spillover — the in-process preview of the N-process sharded
-// deployment (see src/service/RouterService.h).
 //
 // With [metrics-every] N > 0 (default 0 = off) the full Prometheus-style
 // metrics exposition is dumped to stdout every N seconds — a poor man's
@@ -54,7 +48,6 @@
 #include "engine/Engine.h"
 #include "server/SocketServer.h"
 #include "service/LocalService.h"
-#include "service/RouterService.h"
 
 #include <algorithm>
 #include <atomic>
@@ -65,7 +58,6 @@
 #include <cstdlib>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 using namespace regel;
 
@@ -101,12 +93,9 @@ int main(int argc, char **argv) {
     HighWater = static_cast<size_t>(std::atoll(argv[4]));
   if (argc > 5)
     Shed = std::atoi(argv[5]) != 0;
-  unsigned Backends = 1; // >1 = RouterService over N engines
-  if (argc > 6)
-    Backends = std::max(1u, static_cast<unsigned>(std::atoi(argv[6])));
   long MetricsEverySec = 0; // >0 = periodic exposition dump to stdout
-  if (argc > 7)
-    MetricsEverySec = std::atol(argv[7]);
+  if (argc > 6)
+    MetricsEverySec = std::atol(argv[6]);
 
   engine::EngineConfig EC;
   EC.Threads = Threads;
@@ -119,19 +108,8 @@ int main(int argc, char **argv) {
   // queued jobs expire the moment their SLA lapses.
   EC.DeadlineShedding = Shed;
 
-  // One engine per backend, each with its own capped caches and
-  // admission knobs; a single backend skips the router entirely.
-  std::shared_ptr<service::SynthService> Svc;
-  if (Backends == 1) {
-    Svc = std::make_shared<service::LocalService>(
-        std::make_shared<engine::Engine>(EC));
-  } else {
-    std::vector<std::shared_ptr<service::SynthService>> Shards;
-    for (unsigned I = 0; I < Backends; ++I)
-      Shards.push_back(std::make_shared<service::LocalService>(
-          std::make_shared<engine::Engine>(EC)));
-    Svc = std::make_shared<service::RouterService>(std::move(Shards));
-  }
+  auto Svc = std::make_shared<service::LocalService>(
+      std::make_shared<engine::Engine>(EC));
   auto Parser = std::make_shared<nlp::SemanticParser>();
 
   server::ServerConfig SC;
@@ -147,11 +125,10 @@ int main(int argc, char **argv) {
   std::signal(SIGINT, onSignal);
   std::signal(SIGTERM, onSignal);
 
-  std::printf("regel_server: listening on %s:%u — %u backend%s x %u "
-              "workers, cache cap %zu, high-water %zu, shedding %s\n",
-              SC.BindAddr.c_str(), Server.port(), Backends,
-              Backends == 1 ? "" : "s", Threads, CacheCap, HighWater,
-              Shed ? "on" : "off");
+  std::printf("regel_server: listening on %s:%u — %u workers, cache cap "
+              "%zu, high-water %zu, shedding %s\n",
+              SC.BindAddr.c_str(), Server.port(), Threads, CacheCap,
+              HighWater, Shed ? "on" : "off");
   std::fflush(stdout);
 
   // Periodic exposition dump: one background thread, interruptible sleep

@@ -45,7 +45,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
       __builtin_trap();
   }
 
-  // Response path, both versions (the client half RemoteService parses).
+  // Response path, both versions (the half machine clients parse).
   protocol::Response Resp;
   (void)protocol::decodeResponse(Line, protocol::Version::V1, Resp);
   (void)protocol::decodeResponse(Line, protocol::Version::V2, Resp);

@@ -8,8 +8,8 @@
 // the unbounded parseExpr recursion.
 //
 // Invariant beyond "does not crash": a sketch that parses must print
-// (printSketch) and re-parse to an equal sketch — the round-trip the
-// RemoteService submit path depends on.
+// (printSketch) and re-parse to an equal sketch — the round-trip a client
+// sending v2 `sketch=` fields depends on.
 //
 // Build modes: see fuzz/protocol_fuzz.cpp.
 //

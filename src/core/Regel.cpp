@@ -66,13 +66,12 @@ RegelResult Regel::resultFromJob(const engine::JobResult &JR,
 
 Regel::Regel(std::shared_ptr<nlp::SemanticParser> Parser, RegelConfig Cfg)
     : Parser(std::move(Parser)), Cfg(std::move(Cfg)),
-      Svc(std::make_shared<service::LocalService>(
-          std::make_shared<engine::Engine>(engineConfigFor(this->Cfg)))) {}
+      Eng(std::make_shared<engine::Engine>(engineConfigFor(this->Cfg))) {}
 
 Regel::Regel(std::shared_ptr<nlp::SemanticParser> Parser, RegelConfig Cfg,
              std::shared_ptr<engine::Engine> Eng)
     : Parser(std::move(Parser)), Cfg(std::move(Cfg)),
-      Svc(std::make_shared<service::LocalService>(std::move(Eng))) {}
+      Eng(std::move(Eng)) {}
 
 std::vector<SketchPtr>
 Regel::sketchesFor(const std::string &Description) const {
@@ -97,7 +96,7 @@ engine::JobPtr Regel::submit(const std::string &Description,
 
 engine::JobPtr Regel::submitSketches(std::vector<SketchPtr> Sketches,
                                      const Examples &E) const {
-  return Svc->submitJob(buildJobRequest(Cfg, std::move(Sketches), E));
+  return Eng->submit(buildJobRequest(Cfg, std::move(Sketches), E));
 }
 
 RegelResult Regel::synthesizeFromSketches(
@@ -147,7 +146,7 @@ Regel::synthesizeBatch(const std::vector<RegelQuery> &Queries) const {
   }
   for (size_t I = 0; I < N; ++I) {
     engine::JobPtr J =
-        Svc->submitJob(buildJobRequest(Cfg, SketchLists[I], Queries[I].E));
+        Eng->submit(buildJobRequest(Cfg, SketchLists[I], Queries[I].E));
     J->onComplete([&C, I](const engine::JobResult &JR) {
       // The notify stays under M: C is stack-local, so the instant the
       // last callback releases the lock the (possibly spuriously woken)

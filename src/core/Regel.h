@@ -3,15 +3,13 @@
 // Part of the Regel reproduction. The end-to-end tool of Sec. 6: parse the
 // English description into a ranked list of h-sketches, run one PBE engine
 // instance per sketch (the paper runs 25 in parallel), and return up to k
-// consistent regexes. Since the service rewire, the driver runs on the
-// service layer: every Regel owns (or shares) a service::LocalService —
-// the SynthService adapter over a persistent engine::Engine — and the
-// request-building pipeline (description -> sketches -> JobRequest) is
-// exposed as free functions so ticket-based service clients (the socket
-// server, the router benches) build byte-for-byte the same jobs the
-// blocking driver does. submit() still returns the rich in-process job
-// handle (via LocalService::submitJob), so handle-based clients coexist
-// with a completion-stream consumer on the same engine.
+// consistent regexes. Every Regel owns (or shares) a persistent
+// engine::Engine, and the request-building pipeline (description ->
+// sketches -> JobRequest) is exposed as free functions so ticket-based
+// service clients (the socket server) build byte-for-byte the same jobs
+// the blocking driver does. submit() returns the rich in-process job
+// handle, so handle-based clients coexist with a completion-stream
+// consumer (service::LocalService) on the same engine.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +18,6 @@
 
 #include "engine/Job.h"
 #include "nlp/SemanticParser.h"
-#include "service/LocalService.h"
 #include "synth/Synthesizer.h"
 
 #include <memory>
@@ -157,23 +154,14 @@ public:
   const RegelConfig &config() const { return Cfg; }
 
   /// The engine this driver runs on.
-  const std::shared_ptr<engine::Engine> &engine() const {
-    return Svc->engine();
-  }
-
-  /// The driver's service adapter: hand this to a SocketServer or a
-  /// RouterService to serve ticket-based clients from the same engine
-  /// (respecting the adapter's single-consumer completion contract).
-  const std::shared_ptr<service::LocalService> &service() const {
-    return Svc;
-  }
+  const std::shared_ptr<engine::Engine> &engine() const { return Eng; }
 
 private:
   std::vector<SketchPtr> sketchesFor(const std::string &Description) const;
 
   std::shared_ptr<nlp::SemanticParser> Parser;
   RegelConfig Cfg;
-  std::shared_ptr<service::LocalService> Svc;
+  std::shared_ptr<engine::Engine> Eng;
 };
 
 } // namespace regel

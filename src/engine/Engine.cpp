@@ -685,8 +685,8 @@ void Engine::mirrorSnapshot() const {
       .set(static_cast<int64_t>(S.ApproxStoreSize));
   R.gauge("regel_smt_cache_size_entries")
       .set(static_cast<int64_t>(S.SmtStoreSize));
-  // Estimator state in integer us (-1 = cold). A federated SUM of these
-  // gauges is meaningless — readers must consume them per backend.
+  // Estimator state in integer us (-1 = cold). A SUM of these gauges
+  // across expositions is meaningless — read them per engine.
   auto EstUs = [](double Ms) {
     return Ms < 0 ? int64_t(-1) : static_cast<int64_t>(Ms * 1000.0);
   };

@@ -65,73 +65,3 @@ std::string StatsSnapshot::toJson() const {
       (unsigned long long)EstimatorSamplesBackground);
   return Buf;
 }
-
-void StatsSnapshot::merge(const StatsSnapshot &O) {
-  JobsSubmitted += O.JobsSubmitted;
-  JobsCompleted += O.JobsCompleted;
-  JobsSolved += O.JobsSolved;
-  JobsRejected += O.JobsRejected;
-  JobsShedOnArrival += O.JobsShedOnArrival;
-  JobsExpiredInQueue += O.JobsExpiredInQueue;
-  JobsDeadlineExpired += O.JobsDeadlineExpired;
-  JobsResidencyExpired += O.JobsResidencyExpired;
-  TasksRun += O.TasksRun;
-  TasksSkipped += O.TasksSkipped;
-  TasksStopped += O.TasksStopped;
-  TasksStolen += O.TasksStolen;
-  TasksRunInteractive += O.TasksRunInteractive;
-  TasksRunBatch += O.TasksRunBatch;
-  TasksRunBackground += O.TasksRunBackground;
-  CompletionsPending += O.CompletionsPending;
-  SolutionsFound += O.SolutionsFound;
-  Pops += O.Pops;
-  Expansions += O.Expansions;
-  PrunedInfeasible += O.PrunedInfeasible;
-  ConcreteChecked += O.ConcreteChecked;
-  SmtIntervalEvals += O.SmtIntervalEvals;
-  SmtSolves += O.SmtSolves;
-  SmtCacheHits += O.SmtCacheHits;
-  SmtUnsatShortCircuits += O.SmtUnsatShortCircuits;
-  SynthMsTotal += O.SynthMsTotal;
-  ApproxStoreHits += O.ApproxStoreHits;
-  ApproxStoreMisses += O.ApproxStoreMisses;
-  ApproxStoreSize += O.ApproxStoreSize;
-  ApproxStoreEvictions += O.ApproxStoreEvictions;
-  SmtStoreHits += O.SmtStoreHits;
-  SmtStoreImpliedHits += O.SmtStoreImpliedHits;
-  SmtStoreMisses += O.SmtStoreMisses;
-  SmtStoreSize += O.SmtStoreSize;
-  SmtStoreEvictions += O.SmtStoreEvictions;
-
-  // Estimator EWMAs combine sample-weighted; a cold side (negative
-  // estimate / zero samples) contributes nothing, so one warm shard's
-  // figure survives the merge instead of being averaged toward -1.
-  auto Blend = [](double &Ms, uint64_t Samples, double OMs,
-                  uint64_t OSamples) {
-    const bool Warm = Ms >= 0 && Samples > 0;
-    const bool OWarm = OMs >= 0 && OSamples > 0;
-    if (!Warm) {
-      Ms = OWarm ? OMs : Ms;
-      return;
-    }
-    if (OWarm)
-      Ms = (Ms * static_cast<double>(Samples) +
-            OMs * static_cast<double>(OSamples)) /
-           static_cast<double>(Samples + OSamples);
-  };
-  Blend(EstimatorInteractiveMs, EstimatorSamplesInteractive,
-        O.EstimatorInteractiveMs, O.EstimatorSamplesInteractive);
-  Blend(EstimatorBatchMs, EstimatorSamplesBatch, O.EstimatorBatchMs,
-        O.EstimatorSamplesBatch);
-  Blend(EstimatorBackgroundMs, EstimatorSamplesBackground,
-        O.EstimatorBackgroundMs, O.EstimatorSamplesBackground);
-  const uint64_t Samples = EstimatorSamplesInteractive +
-                           EstimatorSamplesBatch + EstimatorSamplesBackground;
-  const uint64_t OSamples = O.EstimatorSamplesInteractive +
-                            O.EstimatorSamplesBatch +
-                            O.EstimatorSamplesBackground;
-  Blend(EstimatorBlendedMs, Samples, O.EstimatorBlendedMs, OSamples);
-  EstimatorSamplesInteractive += O.EstimatorSamplesInteractive;
-  EstimatorSamplesBatch += O.EstimatorSamplesBatch;
-  EstimatorSamplesBackground += O.EstimatorSamplesBackground;
-}

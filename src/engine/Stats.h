@@ -109,12 +109,6 @@ struct StatsSnapshot {
 
   /// Renders the snapshot as a single JSON object.
   std::string toJson() const;
-
-  /// Folds \p O into this snapshot: counters and sizes sum, estimator
-  /// estimates combine sample-weighted (a cold side contributes
-  /// nothing). This is how a router presents N shards' snapshots as one
-  /// fleet view, taken at call time — merging snapshots, never blobs.
-  void merge(const StatsSnapshot &O);
 };
 
 /// Thread-safe accumulator behind StatsSnapshot.

@@ -2,9 +2,9 @@
 
 #include "nlp/SemanticParser.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <unordered_map>
 
 using namespace regel;
 using namespace regel::nlp;
@@ -58,15 +58,17 @@ std::vector<ScoredSketch>
 SemanticParser::parse(const std::string &Utterance, unsigned TopN) const {
   std::vector<Derivation> Roots = parseDerivations(Utterance);
   std::vector<ScoredSketch> Out;
-  std::unordered_map<size_t, size_t> Seen; // sketch hash -> index
   for (const Derivation &D : Roots) {
     SketchPtr S = D.Val.asSketch();
     if (!S)
       continue;
-    auto It = Seen.find(S->hash());
-    if (It != Seen.end())
-      continue; // ranked by score already: first occurrence is the best
-    Seen.emplace(S->hash(), Out.size());
+    // Exact structural dedup; Out holds at most TopN entries, so a linear
+    // scan is cheap. Roots are ranked by score already: the first
+    // occurrence is the best.
+    if (std::any_of(Out.begin(), Out.end(), [&](const ScoredSketch &O) {
+          return O.Sketch->equals(*S);
+        }))
+      continue;
     Out.push_back({std::move(S), D.Score});
     if (Out.size() >= TopN)
       break;

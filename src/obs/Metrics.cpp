@@ -269,7 +269,7 @@ std::string Registry::renderText() const {
 }
 
 //===----------------------------------------------------------------------===//
-// Exposition parsing (federation)
+// Exposition parsing
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -390,7 +390,7 @@ struct HistAccum {
 size_t Registry::absorbText(const std::string &Text) {
   // Pass 1: TYPE lines give each metric name its kind; data lines are
   // bucketed per kind. Unknown or malformed lines are skipped — a
-  // federating router must tolerate a backend a version ahead.
+  // scraper must tolerate a server a version ahead.
   std::map<std::string, char> TypeOf; // 'c' / 'g' / 'h'
   std::vector<SeriesLine> Data;
   size_t Pos = 0;

@@ -2,8 +2,8 @@
 //
 // Part of the Regel reproduction. The serving-side metrics layer: counters,
 // gauges, and log-linear-bucket histograms behind a lock-sharded Registry,
-// rendered as Prometheus-style text exposition and parseable back for
-// federation (RouterService merges backend expositions into one registry).
+// rendered as Prometheus-style text exposition and parseable back
+// (Registry::absorbText), so a scraper can re-read and diff expositions.
 //
 // Two properties drive the histogram design:
 //
@@ -11,15 +11,14 @@
 //     same log-linear layout (exact singletons 0..7us, then 4 linear
 //     sub-buckets per power-of-two octave up to 2^40us, then one overflow
 //     bucket). Merging is element-wise addition, hence exactly associative:
-//     merging per-shard or per-backend snapshots in any order yields the
-//     same buckets — and the same percentiles — as recording the union of
-//     samples into one histogram. That is what lets a router report
-//     fleet-wide p99 without shipping raw samples.
+//     merging per-shard snapshots (or absorbed expositions) in any order
+//     yields the same buckets — and the same percentiles — as recording
+//     the union of samples into one histogram.
 //
 //   * Integer-microsecond domain. Bucket bounds are exact integers, so the
 //     text exposition round-trips without float drift: render -> parse ->
-//     render is the identity, and a federated registry is bit-equal to a
-//     locally merged one.
+//     render is the identity, and a registry rebuilt from expositions is
+//     bit-equal to a locally merged one.
 //
 // Percentiles are reported as the upper bound of the bucket containing the
 // requested rank (a <= 25% relative over-estimate in the worst case; exact
@@ -98,7 +97,7 @@ public:
     record(Ms <= 0 ? 0 : static_cast<uint64_t>(Ms * 1000.0 + 0.5));
   }
 
-  /// Bulk-add a snapshot (used by exposition parsing / federation).
+  /// Bulk-add a snapshot (used by exposition parsing).
   void absorb(const HistogramSnapshot &S);
 
   HistogramSnapshot snapshot() const;
@@ -155,7 +154,7 @@ public:
   std::string renderText() const;
 
   /// Parses a renderText()-format exposition and adds it into this
-  /// registry: counters and gauges sum (gauges summing is a federation
+  /// registry: counters and gauges sum (a summed gauge is only an
   /// approximation — document per-metric whether the sum is meaningful),
   /// histograms merge bucket-wise. Series whose buckets do not match the
   /// fixed layout are skipped. Returns the number of series absorbed.

@@ -35,19 +35,6 @@ void appendI64(std::string &Out, int64_t V) {
 
 } // namespace
 
-// Each tracer claims a disjoint 2^32-wide id block from a process-wide
-// allocator: trace ids from N engines behind one in-process router never
-// collide, so the router can resolve `trace <id>` by asking every
-// backend for it. Ids stay small and deterministic per tracer — the
-// first tracer constructed in a process starts at 1. (Separate server
-// PROCESSES can still collide block-for-block; a router over remote
-// shards returns the first match.)
-Tracer::Tracer(Config C) : Cfg(C) {
-  static std::atomic<uint64_t> NextBlock{0};
-  NextSeq.store((NextBlock.fetch_add(1, std::memory_order_relaxed) << 32) + 1,
-                std::memory_order_relaxed);
-}
-
 std::shared_ptr<TraceContext> Tracer::begin() {
   uint64_t Seq = NextSeq.fetch_add(1, std::memory_order_relaxed);
   bool Sampled = true;

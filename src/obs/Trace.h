@@ -151,15 +151,14 @@ public:
   // argument of nested-class type would be needed before Config's member
   // initializers are complete (GCC rejects it).
   Tracer() : Tracer(Config()) {}
-  explicit Tracer(Config C);
+  explicit Tracer(Config C) : Cfg(C) {}
 
   const Config &config() const { return Cfg; }
 
   /// New context for a starting job. Ids are sequential within a tracer,
-  /// starting at the tracer's id block (the first tracer constructed in a
-  /// process gets 1, 2, 3, ...; see the constructor); the sampling
-  /// decision is a deterministic hash of the sequence number, so a fixed
-  /// SampleProb yields the same kept-set on every run.
+  /// starting at 1; the sampling decision is a deterministic hash of the
+  /// sequence number, so a fixed SampleProb yields the same kept-set on
+  /// every run.
   std::shared_ptr<TraceContext> begin();
 
   /// Hands a finished trace to the ring. ForceKeep marks a failed job

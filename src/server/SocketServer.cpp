@@ -3,7 +3,6 @@
 #include "server/SocketServer.h"
 
 #include "regex/Printer.h"
-#include "service/LocalService.h"
 #include "sketch/SketchParser.h"
 
 #include <arpa/inet.h>
@@ -52,7 +51,7 @@ SocketServer::WakePipe::~WakePipe() {
 }
 
 SocketServer::SocketServer(std::shared_ptr<nlp::SemanticParser> Parser,
-                           std::shared_ptr<service::SynthService> Svc,
+                           std::shared_ptr<service::LocalService> Svc,
                            ServerConfig Cfg)
     : Parser(std::move(Parser)), Svc(std::move(Svc)), Cfg(std::move(Cfg)) {
   // Completion delivery is the service's ticket stream either way; the
@@ -61,15 +60,8 @@ SocketServer::SocketServer(std::shared_ptr<nlp::SemanticParser> Parser,
   this->Cfg.Defaults.EnqueueCompletion = true;
 }
 
-SocketServer::SocketServer(std::shared_ptr<nlp::SemanticParser> Parser,
-                           std::shared_ptr<engine::Engine> Eng,
-                           ServerConfig Cfg)
-    : SocketServer(std::move(Parser),
-                   std::make_shared<service::LocalService>(std::move(Eng)),
-                   std::move(Cfg)) {}
-
 SocketServer::~SocketServer() {
-  // In-flight tickets keep running on the backend; cancel them so they
+  // In-flight tickets keep running on the engine; cancel them so they
   // stop burning workers for clients nobody will answer, then drain OUR
   // remaining completions (run() routes what it drains in the same turn,
   // so Pending is exactly the not-yet-drained set): a shared long-lived
@@ -77,16 +69,16 @@ SocketServer::~SocketServer() {
   // jobs finish fast (queued tasks skip, running searches stop at their
   // next poll) and SLA-carrying jobs are expired eagerly by the engine's
   // own deadline sweep, so the loop is short; the real-time cap is only
-  // a belt against a backend wedged elsewhere.
+  // a belt against an engine wedged elsewhere.
   if (Svc) {
     for (const auto &KV : Pending)
       Svc->cancel(KV.first);
     // Drain with non-blocking polls + real sleeps, NOT waitCompleted:
-    // a LocalService's waitCompleted times out on the ENGINE clock, so
-    // one call against a frozen ManualClock backend would never return
-    // and no outer cap could fire. pollCompleted never blocks, which
-    // makes the real-time cap genuinely enforceable whatever clock the
-    // backend runs on.
+    // LocalService::waitCompleted times out on the ENGINE clock, so one
+    // call against a frozen ManualClock engine would never return and no
+    // outer cap could fire. pollCompleted never blocks, which makes the
+    // real-time cap genuinely enforceable whatever clock the engine runs
+    // on.
     const Stopwatch Drain; // real time
     while (!Pending.empty() && Drain.elapsedMs() < 60000) {
       for (const service::Completion &C : Svc->pollCompleted())
@@ -500,7 +492,7 @@ void SocketServer::submitSolve(Connection &C) {
 
   // Parsing the description runs here on the loop thread (it is
   // milliseconds); the search itself is what the ticket hands to the
-  // backend. The pipeline is the Regel driver's own, so wire queries
+  // engine. The pipeline is the Regel driver's own, so wire queries
   // search exactly the sketch lists API queries do.
   std::vector<SketchPtr> Sketches =
       sketchesForDescription(*Parser, C.Description, C.Cfg.NumSketches);
@@ -560,7 +552,7 @@ void SocketServer::handleV2(Connection &C, const Request &Req,
     const service::ServiceHealth H = Svc->health();
     Response R;
     R.K = Response::Kind::Health;
-    R.Healthy = H.Healthy;
+    // R.Healthy keeps its default: an in-process service is always up.
     R.QueueDepth = H.QueueDepth;
     R.Workers = H.Workers;
     R.EstWaitMs = H.EstWaitMs;
@@ -634,9 +626,9 @@ void SocketServer::submitV2(Connection &C, const Request &Req) {
     return;
   }
 
-  // Explicit sketches take precedence (the RemoteService path: the
-  // client already holds parsed sketches); otherwise the description
-  // runs through the same parser pipeline as v1 solve.
+  // Explicit sketches take precedence (the client already holds parsed
+  // sketches); otherwise the description runs through the same parser
+  // pipeline as v1 solve.
   std::vector<SketchPtr> Sketches;
   for (const std::string &Text : Req.Sketches) {
     std::string ParseErr;

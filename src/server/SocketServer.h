@@ -1,10 +1,8 @@
 //===- server/SocketServer.h - Event-driven synthesis front-end -*- C++ -*-===//
 //
 // Part of the Regel reproduction. A single-threaded, poll()-based TCP
-// front-end over the transport-neutral SynthService API — the serving
-// seam the service layer exists for. The server never touches an engine
-// directly: it submits tickets to a SynthService (a LocalService over one
-// engine, or a RouterService over N backends — the server cannot tell),
+// front-end over the ticket-based service::LocalService API. The server
+// never touches an engine directly: it submits tickets to the service,
 // and one event loop handles every client:
 //
 //   * the listening socket, a wakeup pipe, and all client sockets are
@@ -15,7 +13,7 @@
 //   * the service's wakeup hook writes one byte to the wakeup pipe, so a
 //     completion immediately breaks the poll() instead of waiting out its
 //     timeout;
-//   * woken, the loop drains SynthService::pollCompleted(), routes each
+//   * woken, the loop drains LocalService::pollCompleted(), routes each
 //     completion to its connection, and queues the response lines;
 //   * the poll() timeout itself is deadline-driven: it is bounded by the
 //     service's NextDeadlineDeltaMs, so the engine's residency-deadline
@@ -68,8 +66,8 @@
 #define REGEL_SERVER_SOCKETSERVER_H
 
 #include "core/Regel.h"
+#include "service/LocalService.h"
 #include "service/Protocol.h"
-#include "service/SynthService.h"
 #include "support/Timer.h"
 
 #include <atomic>
@@ -112,8 +110,8 @@ struct ServerConfig {
 /// (from any thread, e.g. a signal handler or a test).
 ///
 /// The server registers itself as the service's completion consumer and
-/// wakeup target (SynthService is a single-consumer stream — see
-/// service/SynthService.h); nothing else may poll the same service
+/// wakeup target (LocalService is a single-consumer stream — see
+/// service/LocalService.h); nothing else may poll the same service
 /// instance. Handle-based clients of the engine underneath a
 /// LocalService are unaffected.
 class SocketServer {
@@ -121,12 +119,7 @@ public:
   /// Serves \p Svc. \p Parser turns v1 descriptions (and v2 desc=
   /// fields) into sketches on the loop thread.
   SocketServer(std::shared_ptr<nlp::SemanticParser> Parser,
-               std::shared_ptr<service::SynthService> Svc, ServerConfig Cfg);
-
-  /// Convenience: serves \p Eng through a fresh LocalService — the
-  /// one-engine setup every existing caller uses.
-  SocketServer(std::shared_ptr<nlp::SemanticParser> Parser,
-               std::shared_ptr<engine::Engine> Eng, ServerConfig Cfg);
+               std::shared_ptr<service::LocalService> Svc, ServerConfig Cfg);
 
   ~SocketServer();
 
@@ -155,11 +148,6 @@ public:
   /// other threads get a snapshot).
   size_t connectionCount() const {
     return NumConnections.load(std::memory_order_relaxed);
-  }
-
-  /// The service this server fronts.
-  const std::shared_ptr<service::SynthService> &service() const {
-    return Svc;
   }
 
 private:
@@ -229,7 +217,7 @@ private:
   int pollTimeoutMs() const;
 
   std::shared_ptr<nlp::SemanticParser> Parser;
-  std::shared_ptr<service::SynthService> Svc;
+  std::shared_ptr<service::LocalService> Svc;
   ServerConfig Cfg;
 
   int ListenFd = -1;

@@ -22,9 +22,9 @@ Ticket LocalService::submit(engine::JobRequest R) {
   // service lock held across it serializes every concurrent client
   // behind one admission — the analyzer flags it as blocking-under-lock.
   // The cost is a race — the job can complete and be drained before its
-  // ticket mapping exists — paid off through Stash, exactly like
-  // RouterService: the drain parks jobs it cannot resolve while a
-  // submit is in flight, and this tail claims them.
+  // ticket mapping exists — paid off through Stash: the drain parks jobs
+  // it cannot resolve while a submit is in flight, and this tail claims
+  // them.
   Ticket T;
   {
     MutexLock Guard(M);
@@ -159,9 +159,9 @@ std::vector<Completion> LocalService::waitCompleted(int64_t TimeoutMs) {
     // A stash claim parks its completion in Ready without anything in
     // the engine's completion queue to wake the wait below — deliver it
     // before blocking. A claim landing after this check waits for the
-    // engine's next completion or the timeout (bounded staleness, the
-    // same window RouterService accepts); event-loop users are covered
-    // by the synchronous wake-hook fire in submit().
+    // engine's next completion or the timeout (bounded staleness);
+    // event-loop users are covered by the synchronous wake-hook fire in
+    // submit().
     MutexLock Guard(M);
     if (!Ready.empty()) {
       std::vector<Completion> Out(
@@ -174,20 +174,15 @@ std::vector<Completion> LocalService::waitCompleted(int64_t TimeoutMs) {
   return mapCompletions(Eng->waitCompleted(TimeoutMs));
 }
 
-std::string LocalService::statsJson() const {
-  return Eng->snapshot().toJson();
-}
-
 ServiceHealth LocalService::health() const {
   // Deliberately cheap (no full snapshot): this runs once per event-loop
-  // turn and once per router routing decision.
+  // turn.
   ServiceHealth H;
-  H.Healthy = true;
   H.QueueDepth = Eng->queueDepth();
   H.Workers = Eng->threadCount();
-  H.BlendedServiceMs = Eng->estimator().blendedEstimateMs();
-  if (H.BlendedServiceMs > 0)
-    H.EstWaitMs = H.BlendedServiceMs * static_cast<double>(H.QueueDepth) /
+  const double BlendedMs = Eng->estimator().blendedEstimateMs();
+  if (BlendedMs > 0)
+    H.EstWaitMs = BlendedMs * static_cast<double>(H.QueueDepth) /
                   static_cast<double>(std::max(1u, H.Workers));
   const int64_t NextUs = Eng->nextResidencyDeadlineUs();
   if (NextUs != INT64_MAX)

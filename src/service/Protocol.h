@@ -1,9 +1,10 @@
 //===- service/Protocol.h - Versioned wire codec ----------------*- C++ -*-===//
 //
 // Part of the Regel reproduction. The one parser/printer for the synthesis
-// wire protocol, extracted out of SocketServer so the server and the
-// RemoteService TCP client share a single codec instead of two hand-rolled
-// ones. Messages are '\n'-terminated lines in one of two versions:
+// wire protocol, extracted out of SocketServer so the server and its
+// machine clients (the perfbench client, the protocol fuzzer) share a
+// single codec instead of hand-rolled ones. Messages are '\n'-terminated
+// lines in one of two versions:
 //
 //   * v1 — the original line protocol, preserved byte-for-byte: stateful
 //     per-connection commands (`desc`, `pos`, `solve`, ...) and free-text
@@ -13,8 +14,7 @@
 //   * v2 — structured frames for machine clients: `v2 <type> key=value
 //     ...` with percent-escaped values, a self-contained one-shot `submit`
 //     (client-chosen id, explicit sketches or a description), `cancel`,
-//     `stats`, and `health`. v2 is what RemoteService speaks, so a router
-//     can treat a whole remote server as one SynthService backend.
+//     `stats`, and `health`.
 //
 // Decoding is defensive by contract: any input — truncated, oversized,
 // binary garbage — yields an ErrorCode, never undefined behaviour. The
@@ -55,7 +55,8 @@ enum class ErrorCode {
   Oversized,       ///< frame exceeds MaxFrameBytes
   DuplicateId,     ///< v2 submit id already in flight on this connection
   UnknownId,       ///< v2 cancel id not in flight on this connection
-  Unavailable,     ///< backend unreachable (RemoteService transport loss)
+  Unavailable,     ///< service unreachable (codec only; no in-tree server
+                   ///< emits it)
 };
 
 /// Stable lower-snake wire name of \p E ("unknown_command", ...).

@@ -48,6 +48,30 @@ PNodePtr PNode::intNode(int Value) {
                             RegexKind::Concat, nullptr, 0, Value, {}));
 }
 
+bool PNode::equals(const PNode &Other) const {
+  if (this == &Other)
+    return true;
+  if (Kind != Other.Kind || Hash != Other.Hash || Depth != Other.Depth ||
+      WithClasses != Other.WithClasses || Op != Other.Op ||
+      Sym != Other.Sym || Value != Other.Value ||
+      Children.size() != Other.Children.size())
+    return false;
+  if (!sketchEquals(Sk, Other.Sk) || !regexEquals(Leaf, Other.Leaf))
+    return false;
+  for (size_t I = 0; I < Children.size(); ++I)
+    if (!Children[I]->equals(*Other.Children[I]))
+      return false;
+  return true;
+}
+
+bool regel::pnodeEquals(const PNodePtr &A, const PNodePtr &B) {
+  if (A == B)
+    return true;
+  if (!A || !B)
+    return false;
+  return A->equals(*B);
+}
+
 PartialRegex PartialRegex::initial(SketchPtr S, unsigned DepthBudget) {
   bool Unconstrained = S->getKind() == SketchKind::Hole &&
                        S->components().empty();

@@ -84,6 +84,10 @@ public:
   /// Structural hash (cached at construction).
   size_t hash() const { return Hash; }
 
+  /// Deep structural equality: kind, every label field, and the children
+  /// in order.
+  bool equals(const PNode &Other) const;
+
   static PNodePtr sketchNode(SketchPtr S, unsigned Depth, bool WithClasses);
   static PNodePtr opNode(RegexKind Op, std::vector<PNodePtr> Children);
   static PNodePtr leafNode(RegexPtr R);
@@ -121,6 +125,21 @@ private:
   int Value = 0;
   std::vector<PNodePtr> Children;
   size_t Hash = 0;
+};
+
+/// Convenience deep-equality on shared pointers (null-safe).
+bool pnodeEquals(const PNodePtr &A, const PNodePtr &B);
+
+/// Hash functor for PNodePtr keyed on structure, for use in hash maps.
+struct PNodePtrHash {
+  size_t operator()(const PNodePtr &N) const { return N ? N->hash() : 0; }
+};
+
+/// Equality functor matching PNodePtrHash.
+struct PNodePtrEq {
+  bool operator()(const PNodePtr &A, const PNodePtr &B) const {
+    return pnodeEquals(A, B);
+  }
 };
 
 /// Path from the root: sequence of child indices.

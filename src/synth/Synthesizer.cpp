@@ -186,8 +186,9 @@ SynthResult Synthesizer::run(const SketchPtr &S, const Examples &E) {
   };
 
   // Structural dedup of queued partials (symmetric expansions can produce
-  // identical trees through different paths).
-  std::unordered_set<size_t> SeenPartials;
+  // identical trees through different paths). Keyed on the full tree: a
+  // hash collision must not drop a distinct, possibly feasible partial.
+  std::unordered_set<PNodePtr, PNodePtrHash, PNodePtrEq> SeenPartials;
 
   // Concrete partials are checked immediately (the check is cheap and
   // order-insensitive); open and symbolic partials are queued so the cost
@@ -197,7 +198,7 @@ SynthResult Synthesizer::run(const SketchPtr &S, const Examples &E) {
       recordIfSolution(P.toRegex());
       return;
     }
-    if (SeenPartials.insert(P.root()->hash()).second)
+    if (SeenPartials.insert(P.root()).second)
       push(std::move(P));
   };
 

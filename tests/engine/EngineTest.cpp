@@ -9,13 +9,11 @@
 #include "engine/Engine.h"
 
 #include "automata/Compile.h"
-#include "automata/Sample.h"
 #include "core/Regel.h"
 #include "data/DeepRegexSet.h"
 #include "regex/Matcher.h"
 #include "regex/Parser.h"
 #include "sketch/SketchParser.h"
-#include "support/Random.h"
 
 #include "common/TestCorpus.h"
 
@@ -25,62 +23,11 @@
 
 using namespace regel;
 using namespace regel::engine;
+using regel::tests::CorpusTask;
+using regel::tests::corpusTasks;
+using regel::tests::deterministicRequest;
 
 namespace {
-
-/// A corpus-derived synthesis task: examples sampled from the ground
-/// truth, sketches that admit it.
-struct CorpusTask {
-  RegexPtr GroundTruth;
-  Examples E;
-  std::vector<SketchPtr> Sketches;
-};
-
-/// Builds deterministic tasks from the shared test corpus: positives are
-/// sampled from the regex's DFA, negatives are probe strings it rejects.
-/// Regexes without enough examples (e.g. the empty language) are skipped.
-std::vector<CorpusTask> corpusTasks(size_t MaxTasks) {
-  std::vector<CorpusTask> Tasks;
-  Rng R(0xc0ffee);
-  for (const char *Text : tests::regexCorpus()) {
-    if (Tasks.size() >= MaxTasks)
-      break;
-    RegexPtr G = parseRegex(Text);
-    if (!G)
-      continue;
-    Dfa D = compileRegex(G);
-    CorpusTask T;
-    T.GroundTruth = G;
-    T.E.Pos = sampleAcceptedSet(D, R, 3, 8);
-    if (T.E.Pos.size() < 2)
-      continue;
-    for (const char *Probe : tests::probeStrings()) {
-      if (T.E.Neg.size() >= 4)
-        break;
-      if (!D.matches(Probe))
-        T.E.Neg.push_back(Probe);
-    }
-    if (T.E.Neg.size() < 2)
-      continue;
-    T.Sketches = {Sketch::hole({Sketch::concrete(G)}),
-                  Sketch::unconstrained()};
-    Tasks.push_back(std::move(T));
-  }
-  return Tasks;
-}
-
-/// A deterministic job: no wall-clock budgets anywhere (the pop cap bounds
-/// the search instead), so the per-sketch runs are scheduling-independent.
-JobRequest deterministicRequest(const CorpusTask &T) {
-  JobRequest R;
-  R.Sketches = T.Sketches;
-  R.E = T.E;
-  R.TopK = 2;
-  R.BudgetMs = 0;
-  R.Synth.MaxPops = 3000;
-  R.Deterministic = true;
-  return R;
-}
 
 std::shared_ptr<nlp::SemanticParser> dummyParser() {
   return std::make_shared<nlp::SemanticParser>();

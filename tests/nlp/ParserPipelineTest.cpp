@@ -100,10 +100,35 @@ TEST(SemanticParser, ScoresAreDescending) {
 }
 
 TEST(SemanticParser, SketchesAreDistinct) {
-  auto Got = parser().parse("2 letters followed by a comma", 25);
-  for (size_t I = 0; I < Got.size(); ++I)
-    for (size_t J = I + 1; J < Got.size(); ++J)
-      EXPECT_FALSE(sketchEquals(Got[I].Sketch, Got[J].Sketch));
+  // parse() merges derivations by full structural equality, never by
+  // hash: its output is exactly the first-occurrence dedup of the ranked
+  // root derivations, with no two entries equal.
+  for (const char *U :
+       {"2 letters followed by a comma", "3 digits then a dash then 4 digits",
+        "a letter or a digit then a comma",
+        "strings that start with a capital letter and end with a digit"}) {
+    auto Got = parser().parse(U, 25);
+    for (size_t I = 0; I < Got.size(); ++I)
+      for (size_t J = I + 1; J < Got.size(); ++J)
+        EXPECT_FALSE(Got[I].Sketch->equals(*Got[J].Sketch)) << U;
+
+    std::vector<SketchPtr> Want;
+    for (const Derivation &D : parser().parseDerivations(U)) {
+      SketchPtr S = D.Val.asSketch();
+      if (!S)
+        continue;
+      bool Dup = false;
+      for (const SketchPtr &W : Want)
+        Dup = Dup || W->equals(*S);
+      if (!Dup)
+        Want.push_back(S);
+      if (Want.size() >= 25)
+        break;
+    }
+    ASSERT_EQ(Got.size(), Want.size()) << U;
+    for (size_t I = 0; I < Got.size(); ++I)
+      EXPECT_TRUE(Got[I].Sketch->equals(*Want[I])) << U << " rank " << I;
+  }
 }
 
 TEST(SemanticParser, GibberishYieldsNoParse) {

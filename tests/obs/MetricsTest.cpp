@@ -242,7 +242,7 @@ TEST(Registry, AbsorbIgnoresGarbage) {
 TEST(Registry, FederatedPercentilesMatchLocalMerge) {
   // Two "shards" record disjoint sample sets; a scratch registry absorbs
   // both expositions. Its percentiles must equal a single histogram fed
-  // the union — the router's metricsText correctness property.
+  // the union — what a scraper summing several expositions relies on.
   Registry S1, S2;
   std::vector<uint64_t> V1, V2, Union;
   for (uint64_t I = 0; I < 100; ++I)

@@ -1,8 +1,8 @@
 //===- tests/obs/TraceTest.cpp --------------------------------------------===//
 //
 // The span tracer: deterministic sampling, failure-priority retention,
-// bounded-ring eviction, per-trace span caps, disjoint id blocks across
-// tracers, and the trace_event JSON export. No clocks here — span
+// bounded-ring eviction, per-trace span caps, per-tracer sequential ids,
+// and the trace_event JSON export. No clocks here — span
 // timestamps are caller-provided integers.
 //
 //===----------------------------------------------------------------------===//
@@ -65,21 +65,6 @@ TEST(Tracer, AlwaysKeepFailuresOffDropsForcedTraces) {
   EXPECT_EQ(T.retainedCount(), 0u);
 }
 
-TEST(Tracer, SamplingIsDeterministicPerSequence) {
-  // Same config, fresh tracers: the sampling decision is a pure function
-  // of the sequence number WITHIN a tracer's block, so two tracers agree
-  // on their first N decisions' pattern only if their blocks align —
-  // what we can always assert is that one tracer re-run is reproducible.
-  Tracer::Config C;
-  C.SampleProb = 0.5;
-  Tracer T(C);
-  std::string Pattern;
-  for (int I = 0; I < 64; ++I)
-    Pattern += T.begin()->sampled() ? '1' : '0';
-  EXPECT_NE(Pattern.find('1'), std::string::npos);
-  EXPECT_NE(Pattern.find('0'), std::string::npos);
-}
-
 TEST(Tracer, RingEvictsOldestFirst) {
   Tracer::Config C = keepAll();
   C.RingCapacity = 3;
@@ -99,15 +84,26 @@ TEST(Tracer, RingEvictsOldestFirst) {
     EXPECT_NE(T.find(Ids[I]), nullptr) << "id index " << I;
 }
 
-TEST(Tracer, IdsAreSequentialWithinATracerAndDisjointAcrossTracers) {
+TEST(Tracer, IdsStartAtOneAndSamplingRepeatsAcrossTracers) {
   Tracer A(keepAll());
   Tracer B(keepAll());
-  uint64_t A1 = A.begin()->id(), A2 = A.begin()->id();
-  uint64_t B1 = B.begin()->id();
-  EXPECT_EQ(A2, A1 + 1);
-  // Different 2^32-wide blocks: an in-process router asking every backend
-  // for an id gets at most one hit.
-  EXPECT_NE(A1 >> 32, B1 >> 32);
+  for (uint64_t I = 1; I <= 4; ++I)
+    EXPECT_EQ(A.begin()->id(), I);
+  EXPECT_EQ(B.begin()->id(), 1u) << "ids are per tracer, not per process";
+
+  // Sampling is a pure function of the tracer's own sequence, so two
+  // fresh tracers with the same config keep the same traces.
+  Tracer::Config C;
+  C.SampleProb = 0.5;
+  Tracer X(C), Y(C);
+  std::string PX, PY;
+  for (int I = 0; I < 64; ++I) {
+    PX += X.begin()->sampled() ? '1' : '0';
+    PY += Y.begin()->sampled() ? '1' : '0';
+  }
+  EXPECT_EQ(PX, PY);
+  EXPECT_NE(PX.find('1'), std::string::npos);
+  EXPECT_NE(PX.find('0'), std::string::npos);
 }
 
 TEST(TraceContext, SpanCapDropsAndCounts) {

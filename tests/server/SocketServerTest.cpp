@@ -138,33 +138,22 @@ private:
 class ServerFixture {
 public:
   explicit ServerFixture(unsigned Threads = 2, size_t HighWater = 0,
-                         size_t MaxInflightPerConn = 0) {
-    engine::EngineConfig EC;
-    EC.Threads = Threads;
-    EC.MaxQueueDepth = HighWater;
-    Eng = std::make_shared<engine::Engine>(EC);
-    Parser = std::make_shared<nlp::SemanticParser>();
+                         size_t MaxInflightPerConn = 0)
+      : ServerFixture(engineConfig(Threads, HighWater), MaxInflightPerConn) {}
+
+  /// Fixture over a caller-built engine config (virtual-clock tests).
+  explicit ServerFixture(const engine::EngineConfig &EC,
+                         size_t MaxInflightPerConn = 0)
+      : Eng(std::make_shared<engine::Engine>(EC)),
+        Parser(std::make_shared<nlp::SemanticParser>()) {
     ServerConfig SC;
     SC.Port = 0; // ephemeral
     SC.Defaults.NumSketches = 4;
     SC.Defaults.BudgetMs = 8000;
     if (MaxInflightPerConn)
       SC.MaxInflightPerConn = MaxInflightPerConn;
-    Server = std::make_unique<SocketServer>(Parser, Eng, SC);
-    Started = Server->start();
-    if (Started)
-      Loop = std::thread([this] { Server->run(); });
-  }
-
-  /// Fixture over a caller-built engine config (virtual-clock tests).
-  explicit ServerFixture(const engine::EngineConfig &EC) {
-    Eng = std::make_shared<engine::Engine>(EC);
-    Parser = std::make_shared<nlp::SemanticParser>();
-    ServerConfig SC;
-    SC.Port = 0; // ephemeral
-    SC.Defaults.NumSketches = 4;
-    SC.Defaults.BudgetMs = 8000;
-    Server = std::make_unique<SocketServer>(Parser, Eng, SC);
+    Server = std::make_unique<SocketServer>(
+        Parser, std::make_shared<service::LocalService>(Eng), SC);
     Started = Server->start();
     if (Started)
       Loop = std::thread([this] { Server->run(); });
@@ -183,6 +172,14 @@ public:
   SocketServer &server() { return *Server; }
 
 private:
+  static engine::EngineConfig engineConfig(unsigned Threads,
+                                           size_t HighWater) {
+    engine::EngineConfig EC;
+    EC.Threads = Threads;
+    EC.MaxQueueDepth = HighWater;
+    return EC;
+  }
+
   std::shared_ptr<engine::Engine> Eng;
   std::shared_ptr<nlp::SemanticParser> Parser;
   std::unique_ptr<SocketServer> Server;

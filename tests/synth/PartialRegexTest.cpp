@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 using namespace regel;
 
 TEST(Examples, MaxLength) {
@@ -123,4 +125,54 @@ TEST(PartialRegex, HashDistinguishesLabels) {
   EXPECT_NE(A.root()->hash(), B.root()->hash());
   PartialRegex C = makeSymbolic();
   EXPECT_EQ(A.root()->hash(), C.root()->hash());
+}
+
+TEST(PNodePtrEq, IdentityIsTheFullTreeEvenUnderAConstantHash) {
+  // A degenerate hash puts every node in one bucket, so only PNodePtrEq
+  // decides what is a duplicate.
+  struct ConstHash {
+    size_t operator()(const PNodePtr &) const { return 42; }
+  };
+  std::unordered_set<PNodePtr, ConstHash, PNodePtrEq> Set;
+  SketchPtr S = parseSketch("hole{<a>}");
+  PNodePtr A = PNode::leafNode(parseRegex("<a>"));
+  PNodePtr B = PNode::leafNode(parseRegex("<b>"));
+  auto Repeat = [](PNodePtr Arg, PNodePtr K) {
+    return PNode::opNode(RegexKind::Repeat, {std::move(Arg), std::move(K)});
+  };
+  const std::vector<PNodePtr> Distinct = {
+      PNode::symIntNode(1),
+      PNode::symIntNode(2), // differs only in Sym
+      PNode::intNode(3),
+      PNode::intNode(4), // differs only in Value
+      PNode::sketchNode(S, 2, false),
+      PNode::sketchNode(S, 3, false), // differs only in Depth
+      PNode::sketchNode(S, 2, true),  // differs only in WithClasses
+      PNode::opNode(RegexKind::Concat, {A, B}),
+      PNode::opNode(RegexKind::Concat, {B, A}), // differs only in order
+      Repeat(A, PNode::symIntNode(1)),
+      Repeat(A, PNode::intNode(3)),
+  };
+  for (const PNodePtr &N : Distinct)
+    EXPECT_TRUE(Set.insert(N).second);
+  EXPECT_EQ(Set.size(), Distinct.size());
+
+  // Equal trees built separately (fresh nodes, no shared pointers) dedup.
+  const std::vector<PNodePtr> Rebuilt = {
+      PNode::symIntNode(2),
+      PNode::intNode(4),
+      PNode::sketchNode(parseSketch("hole{<a>}"), 3, false),
+      PNode::opNode(RegexKind::Concat,
+                    {PNode::leafNode(parseRegex("<b>")),
+                     PNode::leafNode(parseRegex("<a>"))}),
+      Repeat(PNode::leafNode(parseRegex("<a>")), PNode::symIntNode(1)),
+  };
+  for (const PNodePtr &N : Rebuilt) {
+    EXPECT_FALSE(Set.insert(N).second);
+    EXPECT_TRUE(pnodeEquals(N, *Set.find(N)));
+    EXPECT_EQ(PNodePtrHash()(N), PNodePtrHash()(*Set.find(N)));
+  }
+  EXPECT_EQ(Set.size(), Distinct.size());
+  EXPECT_FALSE(pnodeEquals(nullptr, A));
+  EXPECT_TRUE(pnodeEquals(nullptr, nullptr));
 }

@@ -28,8 +28,8 @@ Rules, each with a short slug used in output and inline suppressions:
                  above it, the lock its callers hold — the annotation
                  turns the checker off, so the contract has to live in
                  prose. One block may cover a run of consecutive helpers
-                 with no blank line between them (the RemoteService
-                 CV-predicate style).
+                 with no blank line between them (e.g. a family of
+                 condition-variable predicates sharing one lock).
 
 A line may carry `// lint:allow <slug>` to suppress one finding with the
 justification expected in the surrounding comment. File-level allowlist
@@ -55,13 +55,6 @@ CLOCK_ALLOWLIST = {
     # Accept-loop EMFILE backoff sleeps real time; poll() timeouts are
     # real milliseconds by contract.
     "server/SocketServer.cpp",
-    # Cache-probe spacing (NextHealthProbe etc.) is real time: remote
-    # processes do not share the engine's virtual clock.
-    "service/RemoteService.h",
-    "service/RemoteService.cpp",
-    # waitCompleted deadline is real time across backends that do not
-    # share a clock.
-    "service/RouterService.cpp",
     # Idle-wait backstop is deliberately real time: dispatch must keep
     # moving under a ManualClock that never advances.
     "engine/WorkerPool.cpp",

@@ -23,6 +23,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 using namespace regel;
 
 namespace {
@@ -80,6 +82,18 @@ void BM_CandidateCheck_DirectPath(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_CandidateCheck_DirectPath);
+
+/// The same check on an input of 64+ chars, where each relation row spans
+/// two words instead of one.
+void BM_CandidateCheck_DirectPath_Long(benchmark::State &State) {
+  RegexPtr R = parseRegex(BigPattern);
+  const std::string Input = std::string(64, '1') + ".123";
+  for (auto _ : State) {
+    DirectMatcher M(R);
+    benchmark::DoNotOptimize(M.matches(Input));
+  }
+}
+BENCHMARK(BM_CandidateCheck_DirectPath_Long);
 
 void BM_DfaCacheHit(benchmark::State &State) {
   DfaCache Cache;

@@ -41,16 +41,16 @@ Dfa Dfa::emptyLanguage() {
 
 namespace {
 
-/// Full-avalanche mixer (splitmix64 finalizer). Weak xor/add mixing is not
-/// enough here: correlated signature elements can cancel a one-bit class
-/// difference and merge distinct states (observed in practice).
+/// Full-avalanche mixer (splitmix64 finalizer). Weak xor/add mixing lets
+/// correlated signature elements cancel and crowd one bucket; identity is
+/// decided by comparing full values, never by the hash.
 uint64_t mix64(uint64_t Z) {
   Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
   Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
   return Z ^ (Z >> 31);
 }
 
-/// Strong hash of an integer sequence.
+/// Strong hash of an integer sequence (a bucket key, not an identity).
 uint64_t hashSeq(const std::vector<uint32_t> &Seq) {
   uint64_t H = 0xcbf29ce484222325ull;
   uint64_t Pos = 0;
@@ -78,15 +78,17 @@ Dfa Dfa::determinize(const Nfa &N) {
   Boundaries.erase(std::unique(Boundaries.begin(), Boundaries.end()),
                    Boundaries.end());
 
-  std::unordered_map<uint64_t, uint32_t> SubsetIds;
+  // Subsets are interned on their full value; the hash only picks the
+  // bucket.
+  std::unordered_multimap<uint64_t, uint32_t> SubsetIds;
   std::vector<std::vector<uint32_t>> Subsets;
   DfaBuilder B;
 
   auto internSubset = [&](std::vector<uint32_t> Subset) -> uint32_t {
     uint64_t H = hashSeq(Subset);
-    auto It = SubsetIds.find(H);
-    if (It != SubsetIds.end())
-      return It->second;
+    for (auto [It, End] = SubsetIds.equal_range(H); It != End; ++It)
+      if (Subsets[It->second] == Subset)
+        return It->second;
     bool IsAccept = false;
     for (uint32_t S : Subset)
       if (N.isAccept(S)) {
@@ -195,32 +197,50 @@ Dfa Dfa::minimize() const {
                   [&](uint32_t C) { return C == Class[0]; }))
     NumClasses = 1;
 
-  // Refinement must converge within N rounds; the guard bounds the loop in
-  // case of (astronomically unlikely) 64-bit signature collisions.
+  // Characters that every reachable state maps alike share one signature
+  // slot: keep one representative per distinct transition column.
+  std::vector<unsigned> Reps;
+  for (unsigned C = 0; C < AlphabetSize; ++C)
+    if (std::none_of(Reps.begin(), Reps.end(), [&](unsigned R) {
+          return std::all_of(Order.begin(), Order.end(), [&](uint32_t S) {
+            return Table[S * AlphabetSize + R] == Table[S * AlphabetSize + C];
+          });
+        }))
+      Reps.push_back(C);
+
+  // Refinement converges within N rounds: a round that splits no class
+  // leaves the partition as it was.
+  const size_t SigLen = 1 + Reps.size();
   bool Changed = true;
-  for (uint32_t Round = 0; Changed && Round <= N + 1; ++Round) {
-    Changed = false;
-    // Signature: own class + successor classes, grouped by strong hash.
-    std::unordered_map<uint64_t, uint32_t> SigIds;
+  while (Changed) {
+    // Signature: own class + successor classes. New classes are keyed on
+    // the full signature; the hash only picks the bucket.
+    std::unordered_multimap<uint64_t, uint32_t> SigIds;
     SigIds.reserve(N * 2);
+    std::vector<uint32_t> Sigs; // SigLen entries per new class
+    std::vector<uint32_t> Sig(SigLen);
     std::vector<uint32_t> NewClass(N);
     for (uint32_t I = 0; I < N; ++I) {
-      uint64_t H = mix64(Class[I] + 0x12345);
-      uint32_t S = Order[I];
-      for (unsigned C = 0; C < AlphabetSize; ++C) {
-        H ^= mix64(Class[Map[Table[S * AlphabetSize + C]]] +
-                   static_cast<uint64_t>(C) * 0x9e3779b97f4a7c15ull);
-        H *= 0x100000001b3ull;
+      Sig[0] = Class[I];
+      for (size_t R = 0; R < Reps.size(); ++R)
+        Sig[1 + R] = Class[Map[Table[Order[I] * AlphabetSize + Reps[R]]]];
+      uint64_t H = hashSeq(Sig);
+      uint32_t Id = UINT32_MAX;
+      for (auto [It, End] = SigIds.equal_range(H); It != End; ++It)
+        if (std::equal(Sig.begin(), Sig.end(),
+                       Sigs.begin() + It->second * SigLen)) {
+          Id = It->second;
+          break;
+        }
+      if (Id == UINT32_MAX) {
+        Id = static_cast<uint32_t>(SigIds.size());
+        SigIds.emplace(H, Id);
+        Sigs.insert(Sigs.end(), Sig.begin(), Sig.end());
       }
-      auto [It, Inserted] =
-          SigIds.emplace(H, static_cast<uint32_t>(SigIds.size()));
-      (void)Inserted;
-      NewClass[I] = It->second;
+      NewClass[I] = Id;
     }
-    if (SigIds.size() != NumClasses) {
-      Changed = true;
-      NumClasses = static_cast<uint32_t>(SigIds.size());
-    }
+    Changed = SigIds.size() != NumClasses;
+    NumClasses = static_cast<uint32_t>(SigIds.size());
     Class = std::move(NewClass);
   }
 

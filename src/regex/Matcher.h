@@ -1,11 +1,13 @@
 //===- regex/Matcher.h - Direct (automaton-free) matching -------*- C++ -*-===//
 //
-// Part of the Regel reproduction. A memoized recursive implementation of the
-// DSL denotational semantics of Fig. 6. It is independent of the automaton
-// pipeline in src/automata, which makes it (a) the oracle for differential
-// property tests and (b) the candidate-checking engine inside the PBE loop,
-// where almost every queried regex is distinct and compiling a DFA per
-// query would be wasted work.
+// Part of the Regel reproduction. A bit-parallel evaluator of the Fig. 6
+// semantics, independent of src/automata (compileRegex is its test oracle).
+// It checks every candidate and approximation in the PBE loop, where a DFA
+// per distinct regex would be wasted work. Each AST node evaluates
+// bottom-up to R(node) = {(i,j) : s[i..j) in L(node)}, one bit-row per
+// start i: one word under 64 chars, ceil((n+1)/64) words otherwise. Concat
+// is relation composition, KleeneStar a closure pass, the Repeat family
+// iterated composition with an early fixpoint; the rest are word ops.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,12 +21,12 @@
 
 namespace regel {
 
-/// Matches many strings against one regex. Construction indexes the AST
-/// once; per-string state lives in dense epoch-stamped memo tables, so
-/// repeated matches allocate nothing after warm-up.
+/// Matches many strings against one regex. Construction flattens the AST;
+/// the relations live in one arena that only grows, so repeated matches
+/// allocate nothing after warm-up.
 class DirectMatcher {
 public:
-  explicit DirectMatcher(RegexPtr R);
+  explicit DirectMatcher(RegexPtr R) { flatten(*R); }
 
   /// Returns true iff \p Input is in the language of the regex
   /// (Fig. 6 semantics; concatenation and repetition permit empty pieces,
@@ -32,34 +34,19 @@ public:
   bool matches(std::string_view Input);
 
 private:
-  struct Slot {
-    uint32_t Epoch = 0;
-    bool Value = false;
+  /// One AST node. Ops are in postorder, so children precede parents.
+  struct Op {
+    RegexKind Kind;
+    uint32_t C[2] = {0, 0}; ///< Child op indices.
+    int K1 = 0, K2 = 0;
+    uint64_t Chars[4] = {0, 0, 0, 0}; ///< Leaf: the member bytes.
   };
 
-  bool match(uint32_t Node, uint32_t I, uint32_t J);
-  bool matchRepeat(uint32_t Node, uint32_t K, uint32_t I, uint32_t J);
-  bool matchStar(uint32_t Node, uint32_t I, uint32_t J);
-  bool compute(uint32_t Node, uint32_t I, uint32_t J);
+  uint32_t flatten(const Regex &R);
+  template <unsigned FixedWords> bool eval(std::string_view S);
 
-  /// Lazily allocated memo plane for one (node, repeat-count) pair.
-  Slot &slot(uint32_t Node, uint32_t K, uint32_t I, uint32_t J) {
-    std::vector<Slot> &Plane = Memo[Node * KSlots + K];
-    if (Plane.empty())
-      Plane.assign(static_cast<size_t>(Stride) * Stride, Slot());
-    return Plane[I * Stride + J];
-  }
-
-  RegexPtr Root;
-  std::vector<const Regex *> Nodes; ///< Indexed AST (DFS preorder).
-  std::vector<uint32_t> Kids;       ///< Child indices, 2 per node.
-  uint32_t MaxRepeat = 0;           ///< Largest constant K in the regex.
-  uint32_t KSlots = 2;              ///< 0 = plain, 1..MaxRepeat, last = star.
-
-  std::string_view S;
-  std::vector<std::vector<Slot>> Memo; ///< One plane per (node, K).
-  uint32_t Stride = 0;
-  uint32_t Epoch = 0;
+  std::vector<Op> Ops;
+  std::vector<uint64_t> Arena; ///< One relation per op, then two scratch.
 };
 
 /// One-shot convenience wrapper around DirectMatcher.

@@ -8,6 +8,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -235,6 +236,15 @@ void SocketServer::run() {
     if (Fds[0].revents & POLLIN)
       acceptClients();
 
+    // Replies are queued per frame and sent once per connection per
+    // phase: completions and greetings here, before this turn's reads
+    // (which may parse for a while), and each connection's own replies
+    // right after its input is handled. A send per frame would put each
+    // frame in its own segment under TCP_NODELAY. This pass also drains
+    // what an earlier turn's short send left behind.
+    for (auto &KV : Connections)
+      flushOutput(KV.second);
+
     for (size_t I = 2; I < Fds.size(); ++I) {
       auto It = Connections.find(FdConn[I]);
       if (It == Connections.end())
@@ -244,11 +254,10 @@ void SocketServer::run() {
         closeConnection(C.Id);
         continue;
       }
-      if (Fds[I].revents & POLLIN)
+      if (Fds[I].revents & POLLIN) {
         readClient(C);
-      auto It2 = Connections.find(FdConn[I]);
-      if (It2 != Connections.end() && (Fds[I].revents & POLLOUT))
-        flushOutput(It2->second);
+        flushOutput(C);
+      }
     }
 
     // Deferred closes: dead sockets, and quit/EOF/overflow connections
@@ -285,6 +294,11 @@ void SocketServer::acceptClients() {
       return;
     }
     setNonBlocking(Fd);
+    // Replies are small and latency-bound, and the loop batches them
+    // itself: Nagle would only hold a reply back until the client's
+    // delayed ACK (40 ms on Linux).
+    int One = 1;
+    ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
     if (Cfg.MaxConnections && Connections.size() >= Cfg.MaxConnections) {
       std::string Msg =
           protocol::encodeResponse(errorResponse(ErrorCode::ServerFull),
@@ -733,6 +747,11 @@ void SocketServer::respond(Connection &C, const Response &R, Version V) {
 }
 
 void SocketServer::queueOutput(Connection &C, const std::string &Text) {
+  // Frames wait for the loop's next flush. A batch that would overrun
+  // the cap first hands the kernel what it takes, so the guard still
+  // only trips on a client that is not reading.
+  if (Cfg.MaxOutBytes && C.outPending() + Text.size() > Cfg.MaxOutBytes)
+    flushOutput(C);
   if (C.Dead)
     return;
   if (Cfg.MaxOutBytes && C.outPending() + Text.size() > Cfg.MaxOutBytes) {
@@ -745,7 +764,6 @@ void SocketServer::queueOutput(Connection &C, const std::string &Text) {
     return;
   }
   C.Out += Text;
-  flushOutput(C);
 }
 
 void SocketServer::flushOutput(Connection &C) {

@@ -204,6 +204,7 @@ private:
   void routeCompletion(const service::Completion &Done);
   void respond(Connection &C, const protocol::Response &R,
                protocol::Version V);
+  /// Appends \p Text for the loop's next flush (MaxOutBytes guard).
   void queueOutput(Connection &C, const std::string &Text);
   void flushOutput(Connection &C);
   void acceptClients();

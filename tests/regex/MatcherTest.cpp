@@ -1,7 +1,10 @@
 //===- tests/regex/MatcherTest.cpp ----------------------------------------===//
 
+#include "automata/Compile.h"
 #include "regex/Matcher.h"
 #include "regex/Parser.h"
+#include "regex/Printer.h"
+#include "support/Random.h"
 
 #include "../common/TestCorpus.h"
 
@@ -137,7 +140,7 @@ TEST(Matcher, ReusedMatcherIsConsistent) {
   RegexPtr R = parseRegex("RepeatRange(<num>,2,4)");
   ASSERT_TRUE(R);
   DirectMatcher M(R);
-  // Interleave different lengths to exercise the epoch-stamped memo reuse.
+  // Interleave different lengths to exercise the arena reuse.
   EXPECT_TRUE(M.matches("12"));
   EXPECT_FALSE(M.matches("1"));
   EXPECT_TRUE(M.matches("1234"));
@@ -162,3 +165,139 @@ TEST_P(MatcherCorpus, FreshAndReusedMatchersAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Corpus, MatcherCorpus,
                          ::testing::ValuesIn(regel::tests::regexCorpus()));
+
+// Differential property test: the bit-parallel matcher against the
+// automaton pipeline, compileRegex(R).matches, on seeded random regexes
+// over every RegexKind and random strings around the 64-bit row edges.
+namespace {
+
+/// Rewrites the repetition corners that the Thompson construction does
+/// not take (counts of 0, k2 < k1) into equivalent regexes it does.
+RegexPtr oracleForm(const RegexPtr &R) {
+  std::vector<RegexPtr> Kids;
+  for (const RegexPtr &C : R->children())
+    Kids.push_back(oracleForm(C));
+  RegexKind K = R->getKind();
+  if (!isOperatorKind(K))
+    return R;
+  if (!isRepeatFamily(K))
+    return Regex::makeOperator(K, std::move(Kids));
+  int K1 = R->getK1();
+  int K2 = K == RegexKind::RepeatRange ? R->getK2() : K1;
+  if (K2 < K1)
+    return Regex::emptySet();
+  if (K1 > 0)
+    return Regex::makeOperator(
+        K, std::move(Kids),
+        K == RegexKind::RepeatRange ? std::vector<int>{K1, K2}
+                                    : std::vector<int>{K1});
+  if (K == RegexKind::RepeatAtLeast)
+    return Regex::kleeneStar(Kids[0]);
+  if (K2 == 0)
+    return Regex::epsilon();
+  return Regex::optional(Regex::repeatRange(Kids[0], 1, K2));
+}
+
+RegexPtr randomRegex(Rng &G, unsigned Depth) {
+  static const std::vector<CharClass> Leaves = {
+      CharClass::singleton('a'), CharClass::singleton('b'),
+      CharClass::singleton('1'), CharClass::num(), CharClass::low(),
+      CharClass::any()};
+  if (Depth == 0 || G.chance(1, 4)) {
+    uint64_t Pick = G.nextBelow(Leaves.size() + 2);
+    if (Pick == Leaves.size())
+      return Regex::epsilon();
+    if (Pick == Leaves.size() + 1)
+      return Regex::emptySet();
+    return Regex::charClass(Leaves[Pick]);
+  }
+  // Every operator kind, StartsWith through RepeatRange.
+  auto K = static_cast<RegexKind>(
+      G.nextInRange(static_cast<int>(RegexKind::StartsWith),
+                    static_cast<int>(RegexKind::RepeatRange)));
+  std::vector<RegexPtr> Kids;
+  for (unsigned I = 0; I < numRegexArgs(K); ++I)
+    Kids.push_back(randomRegex(G, Depth - 1));
+  std::vector<int> Ints;
+  if (isRepeatFamily(K))
+    Ints.push_back(static_cast<int>(G.nextInRange(0, 3)));
+  if (K == RegexKind::RepeatRange) // k2 < k1 included
+    Ints.push_back(Ints[0] + static_cast<int>(G.nextInRange(-1, 2)));
+  return Regex::makeOperator(K, std::move(Kids), Ints);
+}
+
+std::string randomString(Rng &G, size_t Len) {
+  static const std::string Alphabet = "ab1a";
+  std::string S;
+  for (size_t I = 0; I < Len; ++I)
+    S.push_back(Alphabet[G.nextBelow(Alphabet.size())]);
+  return S;
+}
+
+/// Checks \p R against the oracle on \p Inputs; returns the accept count.
+size_t expectAgrees(const RegexPtr &R, const std::vector<std::string> &Inputs) {
+  Dfa Oracle = compileRegex(oracleForm(R));
+  DirectMatcher M(R); // reused across lengths, single- and multi-word
+  size_t Accepted = 0;
+  for (const std::string &S : Inputs) {
+    bool Got = M.matches(S);
+    EXPECT_EQ(Got, Oracle.matches(S))
+        << printRegex(R) << " on \"" << S << "\" (length " << S.size()
+        << ")";
+    Accepted += Got;
+  }
+  return Accepted;
+}
+
+std::vector<std::string> probesAround64(Rng &G) {
+  std::vector<std::string> Out;
+  for (size_t Len : {0, 1, 24, 63, 64, 65, 130}) {
+    Out.push_back(randomString(G, Len));
+    Out.push_back(std::string(Len, 'a'));
+  }
+  return Out;
+}
+
+} // namespace
+
+TEST(MatcherDifferential, RandomRegexesAgreeWithAutomaton) {
+  Rng G(20201);
+  size_t Accepted = 0, Checked = 0;
+  for (int I = 0; I < 1000; ++I) {
+    RegexPtr R = randomRegex(G, 4);
+    std::vector<std::string> Inputs = probesAround64(G);
+    Accepted += expectAgrees(R, Inputs);
+    Checked += Inputs.size();
+  }
+  EXPECT_GT(Accepted, Checked / 10); // not vacuous
+
+}
+
+TEST(MatcherDifferential, PinnedRepetitionCorners) {
+  RegexPtr A = Regex::literal('a');
+  std::vector<std::string> Inputs = {"", "a", "aa", "aaa", "b",
+                                     std::string(64, 'a'),
+                                     std::string(65, 'a')};
+  RegexPtr RangeDown =
+      Regex::makeOperator(RegexKind::RepeatRange, {A}, {3, 2});
+  RegexPtr RepeatZero = Regex::makeOperator(RegexKind::Repeat, {A}, {0});
+  RegexPtr AtLeastZero =
+      Regex::makeOperator(RegexKind::RepeatAtLeast, {A}, {0});
+  EXPECT_EQ(expectAgrees(RangeDown, Inputs), 0u);
+  EXPECT_EQ(expectAgrees(RepeatZero, Inputs), 1u);
+  EXPECT_EQ(expectAgrees(AtLeastZero, Inputs), 6u);
+  EXPECT_TRUE(matchesDirect(AtLeastZero, std::string(65, 'a')));
+}
+
+TEST(MatcherDifferential, PinnedNestingAndContainsEpsilon) {
+  Rng G(7);
+  std::vector<std::string> Inputs = probesAround64(G);
+  for (const char *Pattern :
+       {"KleeneStar(Not(And(KleeneStar(<a>),Not(eps))))",
+        "Not(KleeneStar(And(Not(<b>),Or(<a>,Concat(<a>,<1>)))))",
+        "And(KleeneStar(Not(<1>)),Not(KleeneStar(Not(Contains(<b>)))))",
+        "KleeneStar(KleeneStar(Optional(<a>)))"})
+    expectAgrees(parseRegex(Pattern), Inputs);
+  RegexPtr ContainsEps = Regex::contains(Regex::epsilon());
+  EXPECT_EQ(expectAgrees(ContainsEps, Inputs), Inputs.size());
+}

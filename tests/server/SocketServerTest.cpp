@@ -134,6 +134,16 @@ private:
   std::string Buf;
 };
 
+/// \p Replies with the server-assigned id of its `queued` line masked.
+std::string maskQueuedId(std::string Replies) {
+  size_t At = Replies.find("queued ");
+  if (At != std::string::npos) {
+    At += 7;
+    Replies.replace(At, Replies.find('\n', At) - At, "<id>");
+  }
+  return Replies;
+}
+
 /// Server + loop thread, torn down in order.
 class ServerFixture {
 public:
@@ -340,6 +350,39 @@ TEST(SocketServer, HalfCloseClientStillGetsPipelinedAnswers) {
   ASSERT_NE(Done, "") << "half-closed client never got its answer";
   EXPECT_NE(Done.find(" solved "), std::string::npos) << Done;
   EXPECT_TRUE(C.waitEof()) << "connection should close once answers landed";
+}
+
+TEST(SocketServer, PipelinedV1BurstGetsTheLockstepReplies) {
+  // The loop queues each reply and sends a connection's replies to one
+  // read as one batch. A v1 burst in one write must get byte for byte the
+  // replies the same commands get one at a time (only the server-assigned
+  // id differs).
+  ServerFixture F(/*Threads=*/2);
+  ASSERT_TRUE(F.started());
+  const std::vector<std::string> Cmds = {
+      "desc a capital letter followed by 2 digits", "pos A12", "pos Z99",
+      "neg 12", "bogus", "topk 2", "solve"};
+  TestClient Lockstep, Burst;
+  ASSERT_TRUE(Lockstep.connectTo(F.port()));
+  std::string Expected = Lockstep.readLine() + "\n";
+  for (const std::string &Cmd : Cmds) {
+    ASSERT_TRUE(Lockstep.sendLine(Cmd));
+    Expected += Lockstep.readLine() + "\n";
+  }
+  ASSERT_TRUE(Burst.connectTo(F.port()));
+  std::string Joined;
+  for (const std::string &Cmd : Cmds)
+    Joined += (Joined.empty() ? "" : "\n") + Cmd;
+  ASSERT_TRUE(Burst.sendLine(Joined)); // the whole burst in one send()
+  std::string Got;
+  for (size_t I = 0; I <= Cmds.size(); ++I) // greeting + one per command
+    Got += Burst.readLine() + "\n";
+  EXPECT_EQ(maskQueuedId(Got), maskQueuedId(Expected));
+  EXPECT_NE(Got.find("\nerror unknown command 'bogus'\n"), std::string::npos);
+  for (TestClient *C : {&Lockstep, &Burst}) {
+    std::string Done = C->readUntil("done ");
+    EXPECT_NE(Done.find(" solved "), std::string::npos) << Done;
+  }
 }
 
 TEST(SocketServer, ShedVerdictSurfacesOverTheWire) {

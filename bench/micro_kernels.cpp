@@ -17,7 +17,7 @@
 #include "regex/Matcher.h"
 #include "regex/Parser.h"
 #include "sketch/SketchParser.h"
-#include "smt/Solver.h"
+#include "smt/Satisfiable.h"
 #include "synth/Approximate.h"
 #include "synth/Synthesizer.h"
 
@@ -121,13 +121,11 @@ BENCHMARK(BM_FeasibilityMemoHit);
 
 void BM_SmtSolveDecimalConstraint(benchmark::State &State) {
   using namespace regel::smt;
-  for (auto _ : State) {
-    Solver S;
-    VarId K1 = S.declareVar(1, 20), K2 = S.declareVar(1, 20);
-    S.addConstraint(Formula::le(
-        Term::add(Term::var(K1), Term::var(K2)), Term::constant(7)));
-    benchmark::DoNotOptimize(S.solve());
-  }
+  FormulaPtr F = Formula::le(Term::add(Term::var(0), Term::var(1)),
+                             Term::constant(7));
+  const std::vector<Interval> Domains = {{1, 20}, {1, 20}};
+  for (auto _ : State)
+    benchmark::DoNotOptimize(satisfiable(F, Domains));
 }
 BENCHMARK(BM_SmtSolveDecimalConstraint);
 

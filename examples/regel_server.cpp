@@ -99,9 +99,10 @@ int main(int argc, char **argv) {
 
   engine::EngineConfig EC;
   EC.Threads = Threads;
-  // A long-lived server must bound its memo growth: cap the cross-run
-  // approximation store.
+  // A long-lived server must bound its memo growth: cap both cross-run
+  // stores (approximations and SMT verdicts).
   EC.ApproxCacheLimits.MaxEntries = CacheCap;
+  EC.SmtCacheLimits.MaxEntries = CacheCap;
   EC.MaxQueueDepth = HighWater;
   // Deadline-aware admission: clients that set an `sla` get an instant
   // "shed" verdict when the estimator says the budget is hopeless, and

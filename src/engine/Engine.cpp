@@ -561,7 +561,6 @@ StatsSnapshot Engine::snapshot() const {
   S.ApproxStoreSize = Caches->Approx.size();
   S.ApproxStoreEvictions = Caches->Approx.evictions();
   S.SmtStoreHits = Caches->Smt.hits();
-  S.SmtStoreImpliedHits = Caches->Smt.impliedHits();
   S.SmtStoreMisses = Caches->Smt.misses();
   S.SmtStoreSize = Caches->Smt.size();
   S.SmtStoreEvictions = Caches->Smt.evictions();
@@ -672,7 +671,6 @@ void Engine::mirrorSnapshot() const {
   R.counter("regel_approx_store_evictions_total")
       .set(S.ApproxStoreEvictions);
   R.counter("regel_smt_cache_hits_total").set(S.SmtStoreHits);
-  R.counter("regel_smt_cache_implied_hits_total").set(S.SmtStoreImpliedHits);
   R.counter("regel_smt_cache_misses_total").set(S.SmtStoreMisses);
   R.counter("regel_smt_cache_evictions_total").set(S.SmtStoreEvictions);
   R.gauge("regel_queue_depth_jobs")

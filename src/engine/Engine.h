@@ -25,7 +25,6 @@
 #ifndef REGEL_ENGINE_ENGINE_H
 #define REGEL_ENGINE_ENGINE_H
 
-#include "engine/Caches.h"
 #include "engine/Estimator.h"
 #include "engine/Job.h"
 #include "engine/Stats.h"
@@ -44,6 +43,17 @@
 #include <vector>
 
 namespace regel::engine {
+
+/// The two cross-run stores one engine (or several engines, when passed
+/// explicitly) shares across all jobs.
+struct SharedCaches {
+  explicit SharedCaches(unsigned NumShards = 16, CacheLimits ApproxLimits = {},
+                        CacheLimits SmtLimits = {})
+      : Approx(NumShards, ApproxLimits), Smt(NumShards, SmtLimits) {}
+
+  ShardedApproxStore Approx;
+  smt::ShardedSmtCache Smt;
+};
 
 struct EngineConfig {
   /// Worker threads in the pool. Zero is a test-harness mode: jobs are
@@ -71,12 +81,10 @@ struct EngineConfig {
   CacheLimits SmtCacheLimits;
 
   /// Cross-run SMT verdict memoization (on by default): synthesis runs
-  /// get SynthConfig::SharedSmt pointed at the shared ShardedSmtCache, so
-  /// constant-inference satisfiability checks repeat across jobs are
-  /// answered from cache instead of re-searched. Off detaches the store
-  /// (every run solves from scratch) — kept as a knob so the bench can
-  /// measure what the cache buys and operators can rule the cache out
-  /// when chasing a wrong-answer report.
+  /// get SynthConfig::SharedSmt pointed at the shared verdict store. Off
+  /// detaches it (every run solves from scratch), so the bench can
+  /// measure what the store buys and operators can rule it out when
+  /// chasing a wrong-answer report.
   bool SmtMemo = true;
 
   /// Admission control high-water mark (0 = off): a submission arriving

@@ -25,7 +25,7 @@ std::string StatsSnapshot::toJson() const {
       "\"total_ms\":%.1f},"
       "\"approx_store\":{\"hits\":%llu,\"misses\":%llu,\"size\":%llu,"
       "\"evictions\":%llu},"
-      "\"smt_store\":{\"hits\":%llu,\"implied_hits\":%llu,\"misses\":%llu,"
+      "\"smt_store\":{\"hits\":%llu,\"misses\":%llu,"
       "\"size\":%llu,\"evictions\":%llu},"
       "\"estimator\":{\"interactive_ms\":%.2f,\"batch_ms\":%.2f,"
       "\"background_ms\":%.2f,\"blended_ms\":%.2f,"
@@ -54,7 +54,6 @@ std::string StatsSnapshot::toJson() const {
       (unsigned long long)ApproxStoreSize,
       (unsigned long long)ApproxStoreEvictions,
       (unsigned long long)SmtStoreHits,
-      (unsigned long long)SmtStoreImpliedHits,
       (unsigned long long)SmtStoreMisses,
       (unsigned long long)SmtStoreSize,
       (unsigned long long)SmtStoreEvictions,

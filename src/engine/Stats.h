@@ -65,10 +65,10 @@ struct StatsSnapshot {
 
   // SMT accounting, split by what actually ran (see SynthStats):
   // SmtIntervalEvals are the cheap three-valued sweeps, SmtSolves are
-  // bounded DFS model searches actually executed, SmtCacheHits are
-  // solve() calls answered by the shared verdict store. With one engine
-  // owning its caches, SmtSolves == SmtStoreMisses and SmtCacheHits ==
-  // SmtStoreHits + SmtStoreImpliedHits — the partition is exact.
+  // smt::satisfiable searches actually executed, SmtCacheHits are
+  // satisfiability checks answered by the shared verdict store. With one
+  // engine owning its caches, SmtSolves == SmtStoreMisses and
+  // SmtCacheHits == SmtStoreHits — the partition is exact.
   uint64_t SmtIntervalEvals = 0;
   uint64_t SmtSolves = 0;
   uint64_t SmtCacheHits = 0;
@@ -81,21 +81,10 @@ struct StatsSnapshot {
   uint64_t ApproxStoreMisses = 0;
   uint64_t ApproxStoreSize = 0;
   uint64_t ApproxStoreEvictions = 0;
-  uint64_t SmtStoreHits = 0;        ///< exact (formula, domains) answers
-  uint64_t SmtStoreImpliedHits = 0; ///< Unsat answers by conjunct subset
+  uint64_t SmtStoreHits = 0;
   uint64_t SmtStoreMisses = 0;
   uint64_t SmtStoreSize = 0;
   uint64_t SmtStoreEvictions = 0;
-
-  /// Share of verdict-store lookups answered without a search (exact or
-  /// implied) — the warm-pass figure the SMT cache is judged by.
-  double smtCacheHitRate() const {
-    const uint64_t Answered = SmtStoreHits + SmtStoreImpliedHits;
-    const uint64_t Lookups = Answered + SmtStoreMisses;
-    return Lookups ? static_cast<double>(Answered) /
-                         static_cast<double>(Lookups)
-                   : 0.0;
-  }
 
   // Service-time estimator state (EWMA exec ms per class; negative =
   // cold, no samples yet). What deadline-aware shedding decides on.

@@ -3,54 +3,11 @@
 #include "nlp/ChartParser.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 using namespace regel;
 using namespace regel::nlp;
 
 namespace {
-
-/// One chart cell: derivations bucketed by category, deduplicated by
-/// (category, semantics) with best-score wins.
-struct Cell {
-  std::vector<std::vector<Derivation>> ByCat{NumCats};
-  std::unordered_map<size_t, std::pair<uint16_t, uint32_t>> Index;
-  size_t Count = 0;
-
-  void add(Derivation D) {
-    size_t Key = D.key();
-    auto It = Index.find(Key);
-    if (It != Index.end()) {
-      Derivation &Old = ByCat[It->second.first][It->second.second];
-      if (Old.Score < D.Score)
-        Old = std::move(D);
-      return;
-    }
-    uint16_t C = D.Category;
-    Index.emplace(Key, std::make_pair(C, static_cast<uint32_t>(
-                                             ByCat[C].size())));
-    ByCat[C].push_back(std::move(D));
-    ++Count;
-  }
-
-  /// Applies the beam per category, so junk in one category can never
-  /// flush another category's derivations out of the cell.
-  void trim(unsigned BeamPerCat) {
-    size_t Kept = 0;
-    for (auto &Bucket : ByCat) {
-      if (Bucket.size() > BeamPerCat) {
-        std::stable_sort(Bucket.begin(), Bucket.end(),
-                         [](const Derivation &A, const Derivation &B) {
-                           return A.Score > B.Score;
-                         });
-        Bucket.resize(BeamPerCat);
-      }
-      Kept += Bucket.size();
-    }
-    Count = Kept;
-    Index.clear(); // stale after trim; cells are only written once anyway
-  }
-};
 
 class ChartSession {
 public:
@@ -80,7 +37,7 @@ public:
   }
 
 private:
-  Cell &cell(unsigned I, unsigned J) { return Chart[I * (N + 1) + J]; }
+  ChartCell &cell(unsigned I, unsigned J) { return Chart[I * (N + 1) + J]; }
 
   double scoreOf(const FeatureVec &V) const { return dotFeatures(V, Weights); }
 
@@ -139,7 +96,7 @@ private:
   }
 
   void tryApply(const Rule &R, const std::vector<const Derivation *> &Kids,
-                unsigned SpanLen, Cell &Out) {
+                unsigned SpanLen) {
     std::vector<const SemValue *> Vals;
     Vals.reserve(Kids.size());
     for (const Derivation *K : Kids)
@@ -156,33 +113,34 @@ private:
     addFeature(D.Features, FS.ruleFeature(RuleIdx), 1.0f);
     addFeature(D.Features, FS.spanFeature(R.Lhs, SpanLen), 1.0f);
     D.Score = scoreOf(D.Features);
-    Out.add(std::move(D));
+    Builder.add(std::move(D));
   }
 
   void buildCell(unsigned I, unsigned J) {
-    Cell &C = cell(I, J);
+    ChartCell &C = cell(I, J);
+    Builder.start(C);
     unsigned Len = J - I;
 
     // Skip-extension: inherit from the two sub-spans one token shorter,
     // firing the skipped-token feature.
     if (Len >= 2) {
-      for (const Cell *From : {&cell(I, J - 1), &cell(I + 1, J)})
+      for (const ChartCell *From : {&cell(I, J - 1), &cell(I + 1, J)})
         for (const auto &Bucket : From->ByCat)
           for (const Derivation &D : Bucket) {
             Derivation E = D;
             addFeature(E.Features, FS.skipFeature(), 1.0f);
             E.Score = scoreOf(E.Features);
-            C.add(std::move(E));
+            Builder.add(std::move(E));
           }
     }
 
     // Lexical derivations covering this exact span.
     for (const Derivation &D : Lexical[I * (N + 1) + J])
-      C.add(D);
+      Builder.add(D);
 
     // Binary and ternary composition over exact adjacent splits.
     for (unsigned K = I + 1; K < J; ++K) {
-      Cell &Left = cell(I, K);
+      ChartCell &Left = cell(I, K);
       for (auto &[FirstCat, Rules] : RulesByFirst) {
         const std::vector<Derivation> &LeftBucket = Left.ByCat[FirstCat];
         if (LeftBucket.empty())
@@ -192,7 +150,7 @@ private:
             const auto &RightBucket = cell(K, J).ByCat[R->Rhs[1]];
             for (const Derivation &L : LeftBucket)
               for (const Derivation &Rt : RightBucket)
-                tryApply(*R, {&L, &Rt}, Len, C);
+                tryApply(*R, {&L, &Rt}, Len);
             continue;
           }
           if (R->Rhs.size() == 3) {
@@ -204,7 +162,7 @@ private:
               for (const Derivation &L : LeftBucket)
                 for (const Derivation &M : MidBucket)
                   for (const Derivation &Rt : RightBucket)
-                    tryApply(*R, {&L, &M, &Rt}, Len, C);
+                    tryApply(*R, {&L, &M, &Rt}, Len);
             }
           }
         }
@@ -223,14 +181,14 @@ private:
           Derivation D = C.ByCat[Cat][Idx]; // copy: bucket may grow
           for (const Rule *R : It->second)
             if (R->Rhs.size() == 1)
-              tryApply(*R, {&D}, Len, C);
+              tryApply(*R, {&D}, Len);
         }
       }
       if (C.Count == Before)
         break;
     }
 
-    C.trim(Cfg.BeamPerCat);
+    Builder.finish(Cfg.BeamPerCat);
   }
 
   const Grammar &G;
@@ -239,7 +197,8 @@ private:
   const std::vector<double> &Weights;
   const ParserConfig &Cfg;
   unsigned N;
-  std::vector<Cell> Chart;
+  std::vector<ChartCell> Chart;
+  CellBuilder Builder;
   std::vector<std::vector<Derivation>> Lexical;
   std::unordered_map<uint16_t, std::vector<const Rule *>> RulesByFirst;
 };

@@ -20,8 +20,9 @@ struct Derivation {
   FeatureVec Features;
   double Score = 0;
 
-  /// Dedup key: (category, semantics).
-  size_t key() const {
+  /// Bucket hash of the dedup identity: equal category and structurally
+  /// equal semantics (SemValue::operator==).
+  size_t keyHash() const {
     return Val.hash() * 31 + static_cast<size_t>(Category);
   }
 };

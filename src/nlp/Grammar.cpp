@@ -4,6 +4,7 @@
 
 #include "regex/Printer.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace regel;
@@ -79,6 +80,25 @@ size_t SemValue::hash() const {
     break;
   }
   return H;
+}
+
+bool SemValue::operator==(const SemValue &O) const {
+  if (K != O.K)
+    return false;
+  switch (K) {
+  case Kind::None:
+    return true;
+  case Kind::Regex:
+    return regexEquals(R, O.R);
+  case Kind::Sketch:
+    return sketchEquals(S, O.S);
+  case Kind::Int:
+    return I == O.I;
+  case Kind::List:
+    return std::equal(List.begin(), List.end(), O.List.begin(), O.List.end(),
+                      sketchEquals);
+  }
+  return false;
 }
 
 Grammar::Grammar() {

@@ -82,8 +82,13 @@ struct SemValue {
   /// sketch leaves). Null when not possible.
   SketchPtr asSketch() const;
 
-  /// Structural hash for beam deduplication.
+  /// Structural hash for beam deduplication (picks a bucket; identity
+  /// is operator==).
   size_t hash() const;
+
+  /// Structural equality: same kind and structurally equal payload
+  /// (regexEquals / sketchEquals, element-wise for lists).
+  bool operator==(const SemValue &O) const;
 };
 
 /// A grammar rule (RHS arity 1..3; the chart parser composes natively).

@@ -34,7 +34,7 @@ struct SynthProbe {
   const Clock *Clk = nullptr;
 
   /// Latency of each SMT-guided inferConstants invocation. (Individual
-  /// interval sweeps and solver calls are far too frequent to time one by
+  /// interval sweeps and satisfiability searches are far too frequent to time one by
   /// one — SynthStats::SmtIntervalEvals/SmtSolves count them; the probe
   /// times the enclosing inference call.)
   Histogram *SmtInferUs = nullptr;

@@ -207,35 +207,6 @@ FormulaPtr Formula::disj(std::vector<FormulaPtr> Parts) {
                 std::move(Kept));
 }
 
-bool regel::smt::conjSubset(const FormulaPtr &Sub, const FormulaPtr &Sup) {
-  assert(Sub && Sup && "null formula");
-  auto Conjuncts = [](const FormulaPtr &F,
-                      std::vector<FormulaPtr> &Single)
-      -> const std::vector<FormulaPtr> & {
-    if (F->getKind() == FormulaKind::And)
-      return F->getParts();
-    if (F->getKind() == FormulaKind::True)
-      return Single; // empty: truth constrains nothing
-    Single.push_back(F);
-    return Single;
-  };
-  std::vector<FormulaPtr> SubSingle, SupSingle;
-  const std::vector<FormulaPtr> &SubParts = Conjuncts(Sub, SubSingle);
-  const std::vector<FormulaPtr> &SupParts = Conjuncts(Sup, SupSingle);
-  // Both lists are in canonical ascending order (conj sorts; a singleton
-  // is trivially sorted), so subset is one merge pass. Membership is
-  // pointer equality thanks to interning.
-  size_t J = 0;
-  for (const FormulaPtr &P : SubParts) {
-    while (J < SupParts.size() && Formula::compare(*SupParts[J], *P) < 0)
-      ++J;
-    if (J == SupParts.size() || SupParts[J] != P)
-      return false;
-    ++J;
-  }
-  return true;
-}
-
 namespace {
 
 Tri evalCmp(CmpOp Op, const Interval &A, const Interval &B) {
@@ -336,31 +307,6 @@ bool Formula::evalPoint(const std::vector<int64_t> &Assignment) const {
   }
   assert(false && "unknown formula kind");
   return false;
-}
-
-void Formula::collectVars(std::vector<VarId> &Out) const {
-  switch (Kind) {
-  case FormulaKind::True:
-  case FormulaKind::False:
-    return;
-  case FormulaKind::Atom:
-    Lhs->collectVars(Out);
-    Rhs->collectVars(Out);
-    return;
-  case FormulaKind::And:
-  case FormulaKind::Or:
-    for (const FormulaPtr &P : Parts)
-      P->collectVars(Out);
-    return;
-  }
-}
-
-std::vector<VarId> Formula::vars() const {
-  std::vector<VarId> Out;
-  collectVars(Out);
-  std::sort(Out.begin(), Out.end());
-  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
-  return Out;
 }
 
 std::string Formula::str() const {

@@ -1,8 +1,9 @@
 //===- smt/Formula.h - Quantifier-free formulas over terms ------*- C++ -*-===//
 //
 // Part of the Regel reproduction. Boolean combinations of comparison atoms
-// over smt terms, with three-valued interval evaluation (the Solver's
-// pruning oracle). Substitutes for the formula layer of Z3.
+// over smt terms, with three-valued interval evaluation (the pruning
+// oracle of smt::satisfiable and of constant inference). Substitutes for
+// the formula layer of Z3.
 //
 // Like terms, formulas are hash-consed into canonical form: conj/disj
 // flatten nested conjunctions/disjunctions, drop units, sort the parts
@@ -10,8 +11,7 @@
 // de-duplicate — so the same SET of constraints builds the same pointer
 // regardless of insertion order. Structural equality is pointer equality
 // and hash() is O(1), which is what lets the engine key a cross-run
-// verdict cache on formulas, and what makes the conjunct-subset test
-// behind the cache's Unsat implication short-circuit a linear merge.
+// verdict cache on formulas.
 // Atoms are interned as constructed: Le/Ge keep their operand direction
 // (every atom in the system is built by one encoder, so mirrored
 // spellings of one comparison do not occur in practice).
@@ -43,9 +43,6 @@ using FormulaPtr = std::shared_ptr<const Formula>;
 class Formula {
 public:
   FormulaKind getKind() const { return Kind; }
-  CmpOp getOp() const { return Op; }
-  const TermPtr &getLhs() const { return Lhs; }
-  const TermPtr &getRhs() const { return Rhs; }
   const std::vector<FormulaPtr> &getParts() const { return Parts; }
 
   static FormulaPtr truth();
@@ -84,9 +81,6 @@ public:
   /// Exact evaluation under a full assignment.
   bool evalPoint(const std::vector<int64_t> &Assignment) const;
 
-  /// Variables occurring in the formula (sorted, unique).
-  std::vector<VarId> vars() const;
-
   /// Printable form for diagnostics and tests.
   std::string str() const;
 
@@ -106,16 +100,7 @@ private:
   uint64_t Hash = 0;
   TermPtr Lhs, Rhs;
   std::vector<FormulaPtr> Parts;
-
-  void collectVars(std::vector<VarId> &Out) const;
 };
-
-/// True when every conjunct of \p Sub is a conjunct of \p Sup (treating a
-/// non-And formula as the singleton set of itself, truth as the empty
-/// set). Over identical domains, Sup unsatisfiable follows from Sub
-/// unsatisfiable — the cache's implication short-circuit. Linear merge
-/// over the canonical (sorted) part order.
-bool conjSubset(const FormulaPtr &Sub, const FormulaPtr &Sup);
 
 } // namespace regel::smt
 

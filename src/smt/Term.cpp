@@ -255,23 +255,6 @@ int64_t Term::evalPoint(const std::vector<int64_t> &Assignment) const {
   return 0;
 }
 
-void Term::collectVars(std::vector<VarId> &Out) const {
-  switch (Kind) {
-  case TermKind::Const:
-    return;
-  case TermKind::Var:
-    Out.push_back(Var);
-    return;
-  case TermKind::Add:
-  case TermKind::Mul:
-  case TermKind::Min:
-  case TermKind::Max:
-    Lhs->collectVars(Out);
-    Rhs->collectVars(Out);
-    return;
-  }
-}
-
 std::string Term::str() const {
   switch (Kind) {
   case TermKind::Const:

@@ -25,7 +25,7 @@
 
 namespace regel::smt {
 
-/// Variable identifier (dense index issued by the Solver/encoder).
+/// Variable identifier (dense index issued by the encoder).
 using VarId = uint32_t;
 
 /// Saturating extended naturals: values in [0, Infinity].
@@ -43,7 +43,6 @@ struct Interval {
   int64_t Hi = Infinity;
 
   bool isPoint() const { return Lo == Hi; }
-  bool contains(int64_t V) const { return V >= Lo && V <= Hi; }
 
   friend bool operator==(const Interval &A, const Interval &B) {
     return A.Lo == B.Lo && A.Hi == B.Hi;
@@ -81,10 +80,6 @@ public:
   TermKind getKind() const { return Kind; }
 
   int64_t getValue() const { return Value; } ///< Const only.
-  VarId getVar() const { return Var; }       ///< Var only.
-
-  const TermPtr &getLhs() const { return Lhs; }
-  const TermPtr &getRhs() const { return Rhs; }
 
   static TermPtr constant(int64_t V);
   static TermPtr infinity() { return constant(Infinity); }
@@ -113,9 +108,6 @@ public:
 
   /// Exact evaluation under a full assignment.
   int64_t evalPoint(const std::vector<int64_t> &Assignment) const;
-
-  /// Collects the variables occurring in the term into \p Out (may repeat).
-  void collectVars(std::vector<VarId> &Out) const;
 
   /// Printable form, e.g. "(k0 + 2*k1)".
   std::string str() const;

@@ -98,7 +98,7 @@ RegexPtr mkOp(RegexKind K, std::vector<RegexPtr> Kids,
 namespace {
 
 Approx approximateSketchUncached(const SketchPtr &S, unsigned Depth,
-                                 bool WithClasses, SketchApproxStore *Memo) {
+                                 bool WithClasses, ShardedApproxStore *Memo) {
   switch (S->getKind()) {
   case SketchKind::Concrete:
     // Rule (7): a concrete regex approximates itself.
@@ -166,20 +166,21 @@ Approx approximateSketchUncached(const SketchPtr &S, unsigned Depth,
 } // namespace
 
 Approx regel::approximateSketch(const SketchPtr &S, unsigned Depth,
-                                bool WithClasses, SketchApproxStore *Memo) {
+                                bool WithClasses, ShardedApproxStore *Memo) {
   // Concrete leaves are trivial; consulting the store for them would only
   // bloat it.
   if (!Memo || S->getKind() == SketchKind::Concrete)
     return approximateSketchUncached(S, Depth, WithClasses, Memo);
   Approx A;
-  if (Memo->lookup(S, Depth, WithClasses, A))
+  if (Memo->lookup({S, Depth, WithClasses}, A))
     return A;
   A = approximateSketchUncached(S, Depth, WithClasses, Memo);
-  Memo->publish(S, Depth, WithClasses, A);
+  Memo->publish({S, Depth, WithClasses}, A);
   return A;
 }
 
-Approx regel::approximatePartial(const PNodePtr &N, SketchApproxStore *Memo) {
+Approx regel::approximatePartial(const PNodePtr &N,
+                                 ShardedApproxStore *Memo) {
   switch (N->getKind()) {
   case PLabelKind::LeafLabel:
     return {N->leaf(), N->leaf()};

@@ -12,6 +12,7 @@
 #ifndef REGEL_SYNTH_APPROXIMATE_H
 #define REGEL_SYNTH_APPROXIMATE_H
 
+#include "support/ShardedLru.h"
 #include "synth/PartialRegex.h"
 
 #include <unordered_map>
@@ -30,33 +31,48 @@ RegexPtr topRegex();
 /// Bottom element: the empty language.
 RegexPtr botRegex();
 
-/// Memo a sketch approximation may consult: (sketch, depth, widened) is
-/// example-independent, so its approximation can be shared across synthesis
-/// runs, jobs, and threads. Implementations must be thread-safe (the
-/// concurrent engine provides a sharded one, see engine/Caches.h).
-class SketchApproxStore {
-public:
-  virtual ~SketchApproxStore() = default;
-
-  /// Returns true and fills \p Out when a stored approximation exists.
-  virtual bool lookup(const SketchPtr &S, unsigned Depth, bool WithClasses,
-                      Approx &Out) = 0;
-
-  /// Offers a freshly computed approximation to the store.
-  virtual void publish(const SketchPtr &S, unsigned Depth, bool WithClasses,
-                       const Approx &A) = 0;
+/// Key of the cross-run approximation store. (sketch, depth, widened) is
+/// example-independent, so its approximation can be shared across
+/// synthesis runs, jobs, and threads.
+struct ApproxKey {
+  SketchPtr S;
+  unsigned Depth;
+  bool WithClasses;
 };
+
+/// Depth and the widened flag are folded through mix64 rather than XORed
+/// in raw: consecutive depths must not perturb only the low bits that
+/// pick the shard.
+struct ApproxKeyHash {
+  size_t operator()(const ApproxKey &K) const {
+    uint64_t Fields =
+        (static_cast<uint64_t>(K.Depth) << 1) | (K.WithClasses ? 1u : 0u);
+    return static_cast<size_t>(
+        mix64(static_cast<uint64_t>(K.S->hash()) ^ mix64(Fields)));
+  }
+};
+
+struct ApproxKeyEq {
+  bool operator()(const ApproxKey &A, const ApproxKey &B) const {
+    return A.Depth == B.Depth && A.WithClasses == B.WithClasses &&
+           sketchEquals(A.S, B.S);
+  }
+};
+
+/// The cross-run (sketch, depth, widened) -> approximation store.
+using ShardedApproxStore =
+    ShardedLru<ApproxKey, Approx, ApproxKeyHash, ApproxKeyEq>;
 
 /// Approximates an h-sketch under depth budget \p Depth (Fig. 12);
 /// \p WithClasses marks the widened hole variant (its under-approximation
 /// collapses to bottom). With \p Memo set, every sketch node consulted
 /// during the recursion is served from / published to the store.
 Approx approximateSketch(const SketchPtr &S, unsigned Depth, bool WithClasses,
-                         SketchApproxStore *Memo = nullptr);
+                         ShardedApproxStore *Memo = nullptr);
 
 /// Approximates a partial regex (Fig. 11).
 Approx approximatePartial(const PNodePtr &N,
-                          SketchApproxStore *Memo = nullptr);
+                          ShardedApproxStore *Memo = nullptr);
 
 /// The Infeasible check of Fig. 9 line 13 with verdict memoization:
 /// returns true when the approximations prove a partial regex cannot be
@@ -77,7 +93,7 @@ public:
       : E(E), OverVerdict(0, MemoHash{H}), UnderVerdict(0, MemoHash{H}) {}
 
   /// Attaches a cross-run sketch-approximation memo (may be nullptr).
-  void setApproxMemo(SketchApproxStore *M) { Memo = M; }
+  void setApproxMemo(ShardedApproxStore *M) { Memo = M; }
 
   /// True when \p P is provably inconsistent with the examples.
   bool infeasible(const PartialRegex &P);
@@ -97,7 +113,7 @@ private:
   bool underRejectsAllNeg(const RegexPtr &Under);
 
   const Examples &E;
-  SketchApproxStore *Memo = nullptr;
+  ShardedApproxStore *Memo = nullptr;
   VerdictMemo OverVerdict;
   VerdictMemo UnderVerdict;
   uint64_t Checks = 0;

@@ -12,6 +12,8 @@
 #define REGEL_SYNTH_CONFIG_H
 
 #include "regex/CharClass.h"
+#include "smt/Satisfiable.h"
+#include "synth/Approximate.h"
 
 #include <atomic>
 #include <cstdint>
@@ -20,11 +22,6 @@
 namespace regel {
 
 class Clock;
-class SketchApproxStore;
-
-namespace smt {
-class VerdictStore;
-}
 
 namespace obs {
 struct SynthProbe;
@@ -63,10 +60,11 @@ struct SynthConfig {
   /// enumerative ablations.
   uint64_t MaxPops = 0;
 
-  /// DFS node budget per SMT solve call (0 = unlimited). Bounds each of
-  /// the per-example and joint satisfiability checks InferConstants runs
-  /// before enumerating; a budget-out is treated as "unknown" and the
-  /// enumeration proceeds (soundness never depends on a solve finishing).
+  /// DFS node budget per smt::satisfiable call (0 = unlimited). Bounds
+  /// each of the per-example and joint satisfiability checks
+  /// InferConstants runs before enumerating; a budget-out is treated as
+  /// "unknown" and the enumeration proceeds (soundness never depends on
+  /// a solve finishing).
   uint64_t SmtNodeBudget = 20000;
 
   /// Cap on InferConstants worklist iterations per symbolic regex.
@@ -90,14 +88,13 @@ struct SynthConfig {
   /// Cross-run sketch-approximation memo (thread-safe, owned by the
   /// engine; nullptr = recompute per run). The memo may evict: a missing
   /// approximation is recomputed, deterministically.
-  SketchApproxStore *SharedApprox = nullptr;
+  ShardedApproxStore *SharedApprox = nullptr;
 
   /// Cross-run SMT verdict store (thread-safe, owned by the engine;
-  /// nullptr = every satisfiability check solves from scratch). Attached
-  /// to InferConstants' solver sessions; like the other stores it is
-  /// bounded and advisory — an evicted verdict is just re-solved
-  /// (solving is deterministic, including the model found).
-  smt::VerdictStore *SharedSmt = nullptr;
+  /// nullptr = every satisfiability check solves from scratch). Bounded
+  /// and advisory like the approximation memo: an evicted verdict is
+  /// just re-solved, deterministically.
+  smt::ShardedSmtCache *SharedSmt = nullptr;
 
   /// Instrumentation sinks (owned by the engine, outliving the run like
   /// TimeSource; nullptr = no instrumentation): the SMT-inference latency

@@ -2,7 +2,7 @@
 
 #include "synth/InferConstants.h"
 
-#include "smt/Solver.h"
+#include "smt/Satisfiable.h"
 #include "synth/Approximate.h"
 #include "synth/Encode.h"
 
@@ -21,18 +21,14 @@ namespace {
 /// subtrees. The partial-assignment feasibility check (footnote 4) prunes
 /// whole families of constants exactly as in the paper.
 ///
-/// Before enumerating at all, one batched solver session checks the
-/// length constraints for satisfiability: variables are declared once,
-/// the example-independent prefix (range-order constraints) is asserted
-/// once, and each distinct example length is checked under push/pop
-/// against that shared prefix, followed by a joint check of the full
+/// Before enumerating at all, the length constraints are checked for
+/// satisfiability: each distinct example length together with the
+/// example-independent prefix (range-order constraints), then the full
 /// conjunction. Any Unsat refutes every concretization at once — the
 /// enumeration would have rejected each of its up-to-MaxInt^n leaves one
 /// interval sweep at a time. With a verdict store attached
-/// (SynthConfig::SharedSmt) the session's queries hit across jobs that
-/// share sketches and example lengths, and a cached per-example Unsat
-/// core answers the larger joint query by conjunct-subset implication
-/// without any search.
+/// (SynthConfig::SharedSmt) these checks hit across jobs that share
+/// sketches and example lengths.
 class InferSession {
 public:
   InferSession(const PartialRegex &P0, const Examples &E,
@@ -91,41 +87,48 @@ private:
       addRangeOrderConstraints(C);
   }
 
-  /// One batched solver session over the shared prefix: a per-example
-  /// push/pop check for each distinct length, then (when there is more
-  /// than one) a joint check of the full conjunction. Returns false when
-  /// any check is Unsat — no concretization can satisfy the examples.
-  /// ResourceOut is "unknown": the enumeration proceeds, its exactness
-  /// does not depend on any solve finishing.
+  /// The length pre-check: one check per distinct example length over
+  /// the shared prefix, then (when there is more than one) a joint check
+  /// of the full conjunction. Returns false when any check is Unsat — no
+  /// concretization can satisfy the examples.
   bool checkLengthsSatisfiable(
       size_t PrefixEnd, const std::vector<smt::FormulaPtr> &LengthConstraints) {
-    smt::Solver S;
-    S.setStore(Cfg.SharedSmt);
-    for (uint32_t I = 0; I < NumVars; ++I)
-      S.declareVar(1, Cfg.MaxInt);
-    for (size_t I = 0; I < PrefixEnd; ++I)
-      S.addConstraint(Constraints[I]);
-    bool AnyUnsat = false;
+    std::vector<smt::FormulaPtr> Parts(Constraints.begin(),
+                                       Constraints.begin() + PrefixEnd);
     for (const smt::FormulaPtr &LenC : LengthConstraints) {
-      if (AnyUnsat)
-        break;
-      S.push();
-      S.addConstraint(LenC);
-      if (S.solve(Cfg.SmtNodeBudget).Status == smt::SolveStatus::Unsat)
-        AnyUnsat = true;
-      S.pop();
+      Parts.push_back(LenC);
+      const bool Sat = maybeSatisfiable(smt::Formula::conj(Parts));
+      Parts.pop_back();
+      if (!Sat)
+        return false;
     }
-    if (!AnyUnsat && LengthConstraints.size() > 1) {
-      // The joint query's conjunct set contains each per-example set, so
-      // a store can answer it from a cached per-example Unsat core.
-      for (const smt::FormulaPtr &LenC : LengthConstraints)
-        S.addConstraint(LenC);
-      if (S.solve(Cfg.SmtNodeBudget).Status == smt::SolveStatus::Unsat)
-        AnyUnsat = true;
+    if (LengthConstraints.size() < 2)
+      return true;
+    Parts.insert(Parts.end(), LengthConstraints.begin(),
+                 LengthConstraints.end());
+    return maybeSatisfiable(smt::Formula::conj(Parts));
+  }
+
+  /// One satisfiability check of the canonical conjunction \p F over the
+  /// full domains: the verdict store first, then the search, whose
+  /// completed verdict is published back. A budget-out is "unknown" and
+  /// answers true: the enumeration proceeds, its exactness does not
+  /// depend on any check finishing.
+  bool maybeSatisfiable(const smt::FormulaPtr &F) {
+    smt::ShardedSmtCache *Store = Cfg.SharedSmt;
+    bool Sat = true;
+    if (Store && Store->lookup({F, Domains}, Sat)) {
+      ++Stats.SmtCacheHits;
+      return Sat;
     }
-    Stats.SmtSolves += S.solves();
-    Stats.SmtCacheHits += S.storeHits();
-    return !AnyUnsat;
+    ++Stats.SmtSolves;
+    std::optional<bool> Verdict =
+        smt::satisfiable(F, Domains, Cfg.SmtNodeBudget);
+    if (!Verdict)
+      return true;
+    if (Store)
+      Store->publish({F, Domains}, *Verdict);
+    return *Verdict;
   }
 
   /// True when some constraint is already definitely violated under the

@@ -2,8 +2,9 @@
 //
 // Part of the Regel reproduction. Instantiates the symbolic integers of a
 // symbolic regex with concrete constants, using the length encoding as an
-// over-approximate constraint, model enumeration with blocking clauses,
-// and partial-assignment feasibility checks (Sec. 4.2, footnote 4).
+// over-approximate constraint (checked for satisfiability up front), an
+// ascending enumeration of the assignments that survive it, and
+// partial-assignment feasibility checks (Sec. 4.2, footnote 4).
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,23 +19,16 @@
 namespace regel {
 
 /// Counters reported by inferConstants.
-///
-/// The old single `SolveCalls` figure conflated two very different
-/// operations; it is now split so the numbers mean what they say:
 ///   IntervalEvals — three-valued interval sweeps over the constraint
 ///                   set (microseconds each, one per enumeration node);
-///   SmtSolves     — DFS model searches actually executed by the
-///                   bounded solver (the expensive operation, and the
-///                   one the verdict cache elides).
-/// solveCalls() keeps the legacy sum for one release; see
-/// docs/OBSERVABILITY.md for the deprecation schedule.
+///   SmtSolves     — smt::satisfiable searches actually executed (the
+///                   expensive operation, and the one the verdict store
+///                   elides);
+///   SmtCacheHits  — satisfiability checks answered by the attached
+///                   verdict store instead (disjoint from SmtSolves).
 struct InferStats {
   uint64_t IntervalEvals = 0;
   uint64_t SmtSolves = 0;
-
-  /// Satisfiability checks answered by the attached verdict store
-  /// (exact hits and Unsat-implication hits alike); disjoint from
-  /// SmtSolves.
   uint64_t SmtCacheHits = 0;
 
   /// Enumerations abandoned up front because a per-example or joint
@@ -44,10 +38,6 @@ struct InferStats {
   uint64_t Iterations = 0;
   uint64_t PrunedPartialAssignments = 0;
   bool HitIterationCap = false;
-
-  /// DEPRECATED: the pre-split aggregate (interval evals + solves).
-  /// Remove after one release; read the split fields instead.
-  uint64_t solveCalls() const { return IntervalEvals + SmtSolves; }
 };
 
 /// Returns every concrete instantiation of \p P0's symbolic integers that

@@ -30,9 +30,8 @@ struct SynthStats {
 
   // SMT accounting, split by what actually ran (see InferStats):
   // interval sweeps are the cheap per-node pruning oracle, solves are
-  // bounded DFS model searches, cache hits are solve() calls answered by
-  // the shared verdict store without a search. (The pre-split "smt_calls"
-  // aggregate is gone; read the split fields.)
+  // smt::satisfiable searches, cache hits are satisfiability checks
+  // answered by the shared verdict store without a search.
   uint64_t SmtIntervalEvals = 0;
   uint64_t SmtSolves = 0;
   uint64_t SmtCacheHits = 0;

@@ -125,10 +125,10 @@ TEST(EngineStats, CounterPartitionsReconcileWithStores) {
   EXPECT_EQ(Cold.ApproxStoreEvictions, 0u);
 
   // SMT accounting partitions the same way: every solve was a verdict-
-  // store miss and every cache hit a store answer (exact or implied).
+  // store miss and every cache hit a store answer.
   ASSERT_GT(Cold.SmtSolves, 0u);
   EXPECT_EQ(Cold.SmtSolves, Cold.SmtStoreMisses);
-  EXPECT_EQ(Cold.SmtCacheHits, Cold.SmtStoreHits + Cold.SmtStoreImpliedHits);
+  EXPECT_EQ(Cold.SmtCacheHits, Cold.SmtStoreHits);
 
   // The warm pass repeats the same deterministic searches, so its
   // satisfiability checks are answered from the verdict store: strictly
@@ -145,7 +145,7 @@ TEST(EngineStats, CounterPartitionsReconcileWithStores) {
   EXPECT_EQ(Warm.ApproxStoreSize, Cold.ApproxStoreSize);
   EXPECT_GT(Warm.ApproxStoreHits, Cold.ApproxStoreHits);
   EXPECT_EQ(Warm.SmtSolves, Warm.SmtStoreMisses);
-  EXPECT_EQ(Warm.SmtCacheHits, Warm.SmtStoreHits + Warm.SmtStoreImpliedHits);
+  EXPECT_EQ(Warm.SmtCacheHits, Warm.SmtStoreHits);
 }
 
 TEST(EngineStats, SmtMemoOffDetachesVerdictStore) {

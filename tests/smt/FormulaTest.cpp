@@ -86,15 +86,6 @@ TEST(Formula, PointEval) {
   EXPECT_FALSE(F->evalPoint({1, 1}));
 }
 
-TEST(Formula, VarsSortedUnique) {
-  FormulaPtr F = Formula::conj({Formula::le(Term::var(3), Term::var(1)),
-                                Formula::ge(Term::var(1), C(0))});
-  auto Vars = F->vars();
-  ASSERT_EQ(Vars.size(), 2u);
-  EXPECT_EQ(Vars[0], 1u);
-  EXPECT_EQ(Vars[1], 3u);
-}
-
 TEST(Formula, Printing) {
   FormulaPtr F = Formula::conj(
       {Formula::le(K0(), C(5)), Formula::ne(K0(), C(2))});

@@ -74,13 +74,6 @@ TEST(Term, PointEvalMatchesIntervalOnPoints) {
   EXPECT_EQ(T->evalPoint(Assign), 15);
 }
 
-TEST(Term, CollectVars) {
-  TermPtr T = Term::add(Term::var(2), Term::mul(Term::var(0), Term::var(2)));
-  std::vector<VarId> Vars;
-  T->collectVars(Vars);
-  EXPECT_EQ(Vars.size(), 3u);
-}
-
 TEST(Term, Printing) {
   // Commutative operands print in canonical order: constants sort before
   // variables under Term::compare.

@@ -205,3 +205,69 @@ TEST(FeasibilityChecker, VerdictMemoKeysOnFullIdentityNotHash) {
   PartialRegex DigitsAgain(PNode::leafNode(parseRegex("Repeat(<num>,3)")), 0);
   EXPECT_FALSE(LettersFirst.infeasible(DigitsAgain));
 }
+
+TEST(ShardedApproxStore, MemoizedApproximationMatchesUncached) {
+  ShardedApproxStore Store(4);
+  std::vector<const char *> Sketches = {
+      "hole{Repeat(<num>,2)}",
+      "Concat(hole{<cap>},hole{RepeatAtLeast(<num>,1)})",
+      "Not(hole{<num>})",
+      "hole{Concat(<a>,<b>),Or(<num>,<let>)}",
+  };
+  for (const char *Text : Sketches) {
+    SketchPtr S = parseSketch(Text);
+    ASSERT_TRUE(S) << Text;
+    for (unsigned Depth = 1; Depth <= 3; ++Depth) {
+      Approx Plain = approximateSketch(S, Depth, false);
+      Approx Memoed = approximateSketch(S, Depth, false, &Store);
+      EXPECT_TRUE(regexEquals(Plain.Over, Memoed.Over)) << Text;
+      EXPECT_TRUE(regexEquals(Plain.Under, Memoed.Under)) << Text;
+      // Second call must be served from the store and agree.
+      uint64_t HitsBefore = Store.hits();
+      Approx Again = approximateSketch(S, Depth, false, &Store);
+      EXPECT_GT(Store.hits(), HitsBefore);
+      EXPECT_TRUE(regexEquals(Again.Over, Plain.Over)) << Text;
+    }
+  }
+}
+
+TEST(ShardedApproxStore, KeyHashSpreadsConsecutiveDepthsAcrossShards) {
+  // XORing (Depth << 1) straight into the sketch hash would leave the
+  // 16-way shard pick (low 4 bits) at most 8 distinct values over any run
+  // of consecutive depths — half the shards could never be used by a
+  // depth sweep of one sketch. The mixed hash must not have that ceiling.
+  const size_t NumShards = 16;
+  auto ShardOf = [NumShards](const SketchPtr &S, unsigned Depth,
+                             bool WithClasses) {
+    return ApproxKeyHash{}({S, Depth, WithClasses}) % NumShards;
+  };
+  SketchPtr S = parseSketch("hole{Repeat(<num>,2)}");
+  std::vector<unsigned> Load(NumShards, 0);
+  unsigned Distinct = 0;
+  for (unsigned Depth = 0; Depth < 16; ++Depth)
+    for (bool WithClasses : {false, true})
+      if (Load[ShardOf(S, Depth, WithClasses)]++ == 0)
+        ++Distinct;
+  EXPECT_GT(Distinct, 8u) << "depth sweep stuck on a subset of shards";
+  for (size_t I = 0; I < NumShards; ++I)
+    EXPECT_LE(Load[I], 8u) << "shard " << I << " absorbed most keys";
+
+  // And across several sketches the spread must cover nearly everything.
+  std::vector<const char *> Sketches = {
+      "hole{Repeat(<num>,2)}",
+      "Concat(hole{<cap>},hole{RepeatAtLeast(<num>,1)})",
+      "Not(hole{<num>})",
+      "hole{Concat(<a>,<b>),Or(<num>,<let>)}",
+  };
+  std::fill(Load.begin(), Load.end(), 0u);
+  Distinct = 0;
+  for (const char *Text : Sketches) {
+    SketchPtr Sk = parseSketch(Text);
+    ASSERT_TRUE(Sk) << Text;
+    for (unsigned Depth = 0; Depth < 8; ++Depth)
+      for (bool WithClasses : {false, true})
+        if (Load[ShardOf(Sk, Depth, WithClasses)]++ == 0)
+          ++Distinct;
+  }
+  EXPECT_GE(Distinct, 12u);
+}

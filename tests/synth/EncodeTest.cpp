@@ -11,7 +11,6 @@
 
 #include "regex/Matcher.h"
 #include "regex/Parser.h"
-#include "smt/Solver.h"
 
 #include <gtest/gtest.h>
 

@@ -7,7 +7,6 @@
 
 #include "synth/InferConstants.h"
 
-#include "engine/Caches.h"
 #include "regex/Matcher.h"
 #include "regex/Parser.h"
 
@@ -171,7 +170,6 @@ TEST(InferConstants, StatsPopulated) {
   EXPECT_GT(Stats.IntervalEvals, 0u);
   EXPECT_GT(Stats.SmtSolves, 0u);
   EXPECT_EQ(Stats.SmtCacheHits, 0u);
-  EXPECT_EQ(Stats.solveCalls(), Stats.IntervalEvals + Stats.SmtSolves);
   EXPECT_GT(Stats.Iterations, 0u);
   EXPECT_FALSE(Stats.HitIterationCap);
 }
@@ -217,25 +215,27 @@ TEST(InferConstants, IterationCapMidEnumerationIsCleanPrefix) {
 TEST(InferConstants, VerdictStoreRerunSkipsSolves) {
   // With a verdict store attached, a rerun of the same inference answers
   // its satisfiability checks from cache: no new solves, and the run/
-  // store counters partition exactly.
+  // store counters partition exactly. Two distinct example lengths make
+  // three checks: one per length, then the joint one.
   PNodePtr Root = PNode::opNode(
       RegexKind::Repeat,
       {PNode::leafNode(parseRegex("<num>")), PNode::symIntNode(0)});
   Examples E;
   E.Pos = {"1234", "12345"};
-  engine::ShardedSmtCache Store(4);
+  smt::ShardedSmtCache Store(4);
   SynthConfig Cfg;
   Cfg.SharedSmt = &Store;
   FeasibilityChecker Checker(E);
 
   InferStats Cold;
   auto First = inferConstants(PartialRegex(Root, 1), E, Cfg, Checker, Cold);
-  EXPECT_GT(Cold.SmtSolves, 0u);
+  EXPECT_EQ(Cold.SmtSolves, 3u);
+  EXPECT_EQ(Cold.SmtCacheHits, 0u);
 
   InferStats Warm;
   auto Second = inferConstants(PartialRegex(Root, 1), E, Cfg, Checker, Warm);
   EXPECT_EQ(Warm.SmtSolves, 0u);
-  EXPECT_GT(Warm.SmtCacheHits, 0u);
+  EXPECT_EQ(Warm.SmtCacheHits, 3u);
   ASSERT_EQ(First.size(), Second.size());
   for (size_t I = 0; I < First.size(); ++I)
     EXPECT_TRUE(regexEquals(First[I], Second[I]));
@@ -243,8 +243,8 @@ TEST(InferConstants, VerdictStoreRerunSkipsSolves) {
   // Store-level figures reconcile with the run-level ones: every solve
   // was a store miss, every cache hit a store answer.
   EXPECT_EQ(Store.misses(), Cold.SmtSolves + Warm.SmtSolves);
-  EXPECT_EQ(Store.hits() + Store.impliedHits(),
-            Cold.SmtCacheHits + Warm.SmtCacheHits);
+  EXPECT_EQ(Store.hits(), Cold.SmtCacheHits + Warm.SmtCacheHits);
+  EXPECT_EQ(Store.size(), 3u);
 }
 
 TEST(InferConstants, VerdictStoreCachesUnsatShortCircuit) {
@@ -256,7 +256,7 @@ TEST(InferConstants, VerdictStoreCachesUnsatShortCircuit) {
       {PNode::leafNode(parseRegex("Repeat(<num>,2)")), PNode::symIntNode(0)});
   Examples E;
   E.Pos = {"123"};
-  engine::ShardedSmtCache Store(4);
+  smt::ShardedSmtCache Store(4);
   SynthConfig Cfg;
   Cfg.SharedSmt = &Store;
   FeasibilityChecker Checker(E);
@@ -275,4 +275,29 @@ TEST(InferConstants, VerdictStoreCachesUnsatShortCircuit) {
   EXPECT_EQ(Warm.SmtSolves, 0u);
   EXPECT_GT(Warm.SmtCacheHits, 0u);
   EXPECT_EQ(Warm.Iterations, 0u);
+}
+
+TEST(InferConstants, VerdictStoreNeverHoldsBudgetOuts) {
+  // A budget-out depends on the caller's budget, not on the formula: it
+  // must not be published (a later caller with a bigger budget would
+  // inherit it), and it must not refute anything — the enumeration runs
+  // and finds the same answer as an unbounded check.
+  PNodePtr Root = PNode::opNode(
+      RegexKind::Repeat,
+      {PNode::leafNode(parseRegex("<num>")), PNode::symIntNode(0)});
+  Examples E;
+  E.Pos = {"1234"};
+  smt::ShardedSmtCache Store(4);
+  SynthConfig Cfg;
+  Cfg.SharedSmt = &Store;
+  Cfg.SmtNodeBudget = 1; // k0 == 4 needs a branch: the root is Unknown
+  FeasibilityChecker Checker(E);
+
+  InferStats Stats;
+  auto Out = inferConstants(PartialRegex(Root, 1), E, Cfg, Checker, Stats);
+  EXPECT_EQ(Stats.SmtSolves, 1u);
+  EXPECT_EQ(Stats.UnsatShortCircuits, 0u);
+  EXPECT_EQ(Store.size(), 0u);
+  ASSERT_EQ(Out.size(), 1u);
+  EXPECT_TRUE(containsRegex(Out, "Repeat(<num>,4)"));
 }

@@ -265,9 +265,12 @@ LAMBDA_RE = re.compile(
 LOOP_RE = re.compile(r"\b(for|while)\s*\(")
 FNHEAD_NAME_RE = re.compile(r"((?:\w+\s*::\s*)*[~\w]+)\s*\(")
 PARAM_RE = re.compile(r"^(.*?)([\w]+)(?:\s*=[^=]*)?$")
+# A local declaration: `Type Name`, `Type &Name` or `Type *Name` (the
+# name must follow whitespace or the declarator, so LLVM-style
+# `Shard &S = shardFor(K);` types S).
 LOCAL_RE = re.compile(
     r"^[ \t]*(?:const[ \t]+)?((?:[\w:]+(?:<[^<>;()=]*>)?)(?:[ \t]*[*&])*)"
-    r"[ \t]+(\w+)[ \t]*(?:=|\(|\{|;)", re.M)
+    r"[ \t]*(?<=[ \t*&])(\w+)[ \t]*(?:=|\(|\{|;)", re.M)
 RANGEFOR_RE = re.compile(
     r"\bfor\s*\(\s*(?:const\s+)?([\w:<>]+|auto)\s*[&*]*\s*(\w+)\s*:"
     r"\s*([^);]+)\)")

@@ -2,6 +2,8 @@
 
 #include "automata/Dfa.h"
 
+#include "support/Hash.h"
+
 #include <algorithm>
 #include <cassert>
 #include <deque>
@@ -41,16 +43,9 @@ Dfa Dfa::emptyLanguage() {
 
 namespace {
 
-/// Full-avalanche mixer (splitmix64 finalizer). Weak xor/add mixing lets
-/// correlated signature elements cancel and crowd one bucket; identity is
-/// decided by comparing full values, never by the hash.
-uint64_t mix64(uint64_t Z) {
-  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
-  return Z ^ (Z >> 31);
-}
-
 /// Strong hash of an integer sequence (a bucket key, not an identity).
+/// Each element goes through the full-avalanche mix: weak xor/add mixing
+/// lets correlated signature elements cancel and crowd one bucket.
 uint64_t hashSeq(const std::vector<uint32_t> &Seq) {
   uint64_t H = 0xcbf29ce484222325ull;
   uint64_t Pos = 0;

@@ -4,7 +4,6 @@
 
 #include "engine/Engine.h"
 #include "support/Mutex.h"
-#include "support/Timer.h"
 
 #include <algorithm>
 #include <condition_variable>
@@ -23,7 +22,7 @@ engine::EngineConfig engineConfigFor(const RegelConfig &Cfg) {
 } // namespace
 
 std::vector<SketchPtr>
-regel::sketchesForDescription(nlp::SemanticParser &Parser,
+regel::sketchesForDescription(const nlp::SemanticParser &Parser,
                               const std::string &Description,
                               unsigned NumSketches) {
   std::vector<nlp::ScoredSketch> Scored =
@@ -53,10 +52,23 @@ engine::JobRequest regel::buildJobRequest(const RegelConfig &Cfg,
   return R;
 }
 
+engine::JobRequest
+regel::buildJobRequest(const RegelConfig &Cfg,
+                       std::shared_ptr<const nlp::SemanticParser> Parser,
+                       std::string Description, const Examples &E) {
+  engine::JobRequest R = buildJobRequest(Cfg, {}, E);
+  R.SketchSource = [P = std::move(Parser), D = std::move(Description),
+                    N = Cfg.NumSketches] {
+    return sketchesForDescription(*P, D, N);
+  };
+  return R;
+}
+
 RegelResult Regel::resultFromJob(const engine::JobResult &JR,
                                  std::vector<SketchPtr> Sketches) {
   RegelResult Result;
   Result.Sketches = std::move(Sketches);
+  Result.ParseMs = JR.ParseMs;
   // Synthesis time, not residence time: on a loaded shared engine TotalMs
   // includes queue wait, which is not what SynthMs has always meant.
   Result.SynthMs = JR.ExecMs;
@@ -73,25 +85,16 @@ Regel::Regel(std::shared_ptr<nlp::SemanticParser> Parser, RegelConfig Cfg,
     : Parser(std::move(Parser)), Cfg(std::move(Cfg)),
       Eng(std::move(Eng)) {}
 
-std::vector<SketchPtr>
-Regel::sketchesFor(const std::string &Description) const {
-  return sketchesForDescription(*Parser, Description, Cfg.NumSketches);
-}
-
 RegelResult Regel::synthesize(const std::string &Description,
                               const Examples &E) const {
-  Stopwatch ParseWatch;
-  std::vector<SketchPtr> Sketches = sketchesFor(Description);
-  double ParseMs = ParseWatch.elapsedMs();
-
-  RegelResult Result = synthesizeFromSketches(Sketches, E);
-  Result.ParseMs = ParseMs;
-  return Result;
+  engine::JobPtr Job = submit(Description, E);
+  engine::JobResult JR = Job->wait();
+  return resultFromJob(JR, Job->request().Sketches);
 }
 
 engine::JobPtr Regel::submit(const std::string &Description,
                              const Examples &E) const {
-  return submitSketches(sketchesFor(Description), E);
+  return Eng->submit(buildJobRequest(Cfg, Parser, Description, E));
 }
 
 engine::JobPtr Regel::submitSketches(std::vector<SketchPtr> Sketches,
@@ -107,18 +110,6 @@ RegelResult Regel::synthesizeFromSketches(
 
 std::vector<RegelResult>
 Regel::synthesizeBatch(const std::vector<RegelQuery> &Queries) const {
-  // Parse every description up front (cheap, single-threaded), then hand
-  // the whole batch to the engine so jobs run concurrently.
-  std::vector<std::vector<SketchPtr>> SketchLists;
-  std::vector<double> ParseTimes;
-  SketchLists.reserve(Queries.size());
-  ParseTimes.reserve(Queries.size());
-  for (const RegelQuery &Q : Queries) {
-    Stopwatch ParseWatch;
-    SketchLists.push_back(sketchesFor(Q.Description));
-    ParseTimes.push_back(ParseWatch.elapsedMs());
-  }
-
   // Completion-driven collection: each job deposits its result through an
   // onComplete continuation (running on the finishing worker — or right
   // here, synchronously, for jobs that completed before registration),
@@ -144,9 +135,11 @@ Regel::synthesizeBatch(const std::vector<RegelQuery> &Queries) const {
     C.Remaining = N;
     C.Results.resize(N);
   }
+  std::vector<engine::JobPtr> Jobs;
+  Jobs.reserve(N);
   for (size_t I = 0; I < N; ++I) {
-    engine::JobPtr J =
-        Eng->submit(buildJobRequest(Cfg, SketchLists[I], Queries[I].E));
+    engine::JobPtr J = submit(Queries[I].Description, Queries[I].E);
+    Jobs.push_back(J);
     J->onComplete([&C, I](const engine::JobResult &JR) {
       // The notify stays under M: C is stack-local, so the instant the
       // last callback releases the lock the (possibly spuriously woken)
@@ -167,10 +160,8 @@ Regel::synthesizeBatch(const std::vector<RegelQuery> &Queries) const {
 
   std::vector<RegelResult> Results;
   Results.reserve(N);
-  for (size_t I = 0; I < N; ++I) {
-    RegelResult R = resultFromJob(JobResults[I], std::move(SketchLists[I]));
-    R.ParseMs = ParseTimes[I];
-    Results.push_back(std::move(R));
-  }
+  for (size_t I = 0; I < N; ++I)
+    Results.push_back(
+        resultFromJob(JobResults[I], Jobs[I]->request().Sketches));
   return Results;
 }

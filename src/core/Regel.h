@@ -5,11 +5,12 @@
 // instance per sketch (the paper runs 25 in parallel), and return up to k
 // consistent regexes. Every Regel owns (or shares) a persistent
 // engine::Engine, and the request-building pipeline (description ->
-// sketches -> JobRequest) is exposed as free functions so ticket-based
-// service clients (the socket server) build byte-for-byte the same jobs
-// the blocking driver does. submit() returns the rich in-process job
-// handle, so handle-based clients coexist with a completion-stream
-// consumer (service::LocalService) on the same engine.
+// JobRequest whose sketch source parses on an engine worker) is exposed
+// as free functions so ticket-based service clients (the socket server)
+// build byte-for-byte the same jobs the blocking driver does; none of
+// the driver's calls parses on its caller's thread. submit() returns the
+// rich in-process job handle, so handle-based clients coexist with a
+// completion-stream consumer (service::LocalService) on the same engine.
 //
 //===----------------------------------------------------------------------===//
 
@@ -74,7 +75,7 @@ using RegelAnswer = engine::JobAnswer;
 struct RegelResult {
   std::vector<RegelAnswer> Answers; ///< up to TopK, discovery order
   std::vector<SketchPtr> Sketches;  ///< the sketches that were tried
-  double ParseMs = 0;
+  double ParseMs = 0;               ///< the job's parse (JobResult::ParseMs)
   double SynthMs = 0;
 
   bool solved() const { return !Answers.empty(); }
@@ -89,11 +90,11 @@ struct RegelQuery {
 /// Parses \p Description into the ranked sketch list a Regel driver
 /// searches: up to \p NumSketches parser outputs, falling back to the
 /// unconstrained sketch (pure PBE) when parsing yields nothing. This IS
-/// the driver's sketch pipeline — the socket server's solve path calls
-/// it directly so wire queries and API queries search identical sketch
-/// lists.
+/// the driver's sketch pipeline: the sketch source of every description
+/// request (see buildJobRequest) calls it on an engine worker, so wire
+/// queries and API queries search identical sketch lists.
 std::vector<SketchPtr>
-sketchesForDescription(nlp::SemanticParser &Parser,
+sketchesForDescription(const nlp::SemanticParser &Parser,
                        const std::string &Description, unsigned NumSketches);
 
 /// Builds the engine request a RegelConfig implies for \p Sketches and
@@ -101,6 +102,16 @@ sketchesForDescription(nlp::SemanticParser &Parser,
 /// by the blocking driver and every service client.
 engine::JobRequest buildJobRequest(const RegelConfig &Cfg,
                                    std::vector<SketchPtr> Sketches,
+                                   const Examples &E);
+
+/// The same request for a description: its sketch list is deferred to a
+/// source that runs sketchesForDescription(*Parser, Description,
+/// Cfg.NumSketches) as the job's first engine task. \p Parser is shared
+/// with the job and must not be retrained while the job is in flight.
+engine::JobRequest buildJobRequest(const RegelConfig &Cfg,
+                                   std::shared_ptr<const nlp::SemanticParser>
+                                       Parser,
+                                   std::string Description,
                                    const Examples &E);
 
 /// The multi-modal synthesizer.
@@ -126,12 +137,12 @@ public:
   RegelResult synthesizeFromSketches(const std::vector<SketchPtr> &Sketches,
                                      const Examples &E) const;
 
-  /// Async entry point: parses \p Description and submits one job without
+  /// Async entry point: submits one job for \p Description without
   /// blocking on the result. The returned handle drives the engine's
   /// completion API (onComplete / waitFor / Engine::pollCompleted when
   /// Cfg.EnqueueCompletion is set); pair with resultFromJob to recover a
-  /// RegelResult. Parsing runs on the calling thread (it is cheap next to
-  /// synthesis); only the PBE search is deferred to the engine.
+  /// RegelResult. The parse is the job's first engine task, so the
+  /// calling thread neither parses nor searches.
   engine::JobPtr submit(const std::string &Description,
                         const Examples &E) const;
 
@@ -140,13 +151,14 @@ public:
                                 const Examples &E) const;
 
   /// Converts a completed job's result into the driver's result type.
-  /// \p Sketches is the list the job was submitted with.
+  /// \p Sketches is the list the job searched (for a description job,
+  /// its request's Sketches once it completed).
   static RegelResult resultFromJob(const engine::JobResult &JR,
                                    std::vector<SketchPtr> Sketches);
 
-  /// Parses every query, submits all jobs to the engine at once, and
-  /// collects them through completion continuations: concurrent queries
-  /// share the pool and caches, and no thread is parked per job — the
+  /// Submits every query to the engine at once and collects them through
+  /// completion continuations: concurrent queries parse and search on
+  /// the shared pool and caches, and no thread is parked per job — the
   /// caller blocks once, on the last completion.
   std::vector<RegelResult>
   synthesizeBatch(const std::vector<RegelQuery> &Queries) const;
@@ -157,8 +169,6 @@ public:
   const std::shared_ptr<engine::Engine> &engine() const { return Eng; }
 
 private:
-  std::vector<SketchPtr> sketchesFor(const std::string &Description) const;
-
   std::shared_ptr<nlp::SemanticParser> Parser;
   RegelConfig Cfg;
   std::shared_ptr<engine::Engine> Eng;

@@ -44,6 +44,7 @@ Engine::Engine(EngineConfig C)
     }
     TaskExecUs = &Reg->histogram("regel_task_exec_us");
     SmtInferUs = &Reg->histogram("regel_smt_infer_us");
+    ParseUs = &Reg->histogram("regel_parse_us");
   }
 }
 
@@ -63,7 +64,9 @@ JobPtr Engine::submit(JobRequest R) {
   JobPtr J(new SynthJob(std::move(R), Clk));
   if (obs::TraceContext *T = J->Req.Trace.get())
     T->spanEnvelope("submit", "job", J->SinceSubmit.startUs(), 0);
-  const size_t NumTasks = J->Req.Sketches.size();
+  // A deferred job's one task until its parse fans out the rest.
+  const bool Deferred = static_cast<bool>(J->Req.SketchSource);
+  const size_t NumTasks = Deferred ? 1 : J->Req.Sketches.size();
   if (NumTasks == 0) {
     // Nothing to search: complete the job on the spot (it never occupies
     // the queue, so admission control does not apply).
@@ -115,26 +118,18 @@ JobPtr Engine::submit(JobRequest R) {
   J->EstAtSubmitMs = Estimator.estimateMs(J->Req.Pri);
   J->Remaining.store(static_cast<unsigned>(NumTasks),
                      std::memory_order_relaxed);
-  const Priority Pri = J->Req.Pri;
-  for (unsigned Rank = 0; Rank < NumTasks; ++Rank) {
-    if (!Pool.submit([this, J, Rank] { runSketchTask(J, Rank); }, Pri)) {
-      // Pool is shutting down; account the task as skipped so the job
-      // still completes.
-      Stats.taskSkipped();
-      {
-        MutexLock Guard(J->M);
-        ++J->Result.TasksSkipped;
-      }
-      finishTask(J);
-    }
-  }
+  if (!Deferred)
+    fanOut(J);
+  else if (!Pool.submit([this, J] { runParseTask(J); }, J->Req.Pri))
+    finishTask(J); // pool shutting down: the job ends with no sketches
   if (Cfg.DeadlineShedding && J->Req.ResidencyBudgetMs > 0) {
     // Registered AFTER the fan-out loop, so a sweep can never expire a
     // job whose submit-failure accounting is still in flight — by the
     // time an entry exists, Result.TasksSkipped is final for every task
     // the pool refused, and expireQueued's reconciliation races nothing.
     // (If every task failed, the job is already finalized; the sweep's
-    // Finalized exchange drops it.)
+    // Finalized exchange drops it.) A deferred job fans out only after
+    // its parse task claimed it, which the sweep cannot expire.
     {
       MutexLock Guard(HeapM);
       ResidencyHeap.push({J->residencyDeadlineUs(), J});
@@ -148,6 +143,65 @@ JobPtr Engine::submit(JobRequest R) {
     CompletedCV.notify_all();
   }
   return J;
+}
+
+void Engine::fanOut(const JobPtr &J) {
+  const unsigned NumTasks = static_cast<unsigned>(J->Req.Sketches.size());
+  for (unsigned Rank = 0; Rank < NumTasks; ++Rank) {
+    if (!Pool.submit([this, J, Rank] { runSketchTask(J, Rank); },
+                     J->Req.Pri)) {
+      // Pool is shutting down; account the task as skipped so the job
+      // still completes.
+      Stats.taskSkipped();
+      {
+        MutexLock Guard(J->M);
+        ++J->Result.TasksSkipped;
+      }
+      finishTask(J);
+    }
+  }
+}
+
+void Engine::runParseTask(const JobPtr &J) {
+  sweepExpiredQueued();
+  if (!J->claimParse())
+    return; // expired in queue: finalized by the sweep, nothing to do
+  // From here the sweep cannot expire the job, so the lazy checks apply:
+  // a job cancelled or out of residency before its parse never parses,
+  // and completes with no sketches (finalize reports the expiry).
+  std::vector<SketchPtr> Sketches;
+  double ParseMs = 0;
+  if (!J->Cancel.load(std::memory_order_relaxed) && !J->residencyExpired()) {
+    const int64_t StartUs = Clk->nowUs();
+    Sketches = J->Req.SketchSource();
+    const int64_t DurUs = Clk->nowUs() - StartUs;
+    ParseMs = static_cast<double>(DurUs) / 1000.0;
+    if (Cfg.Observability)
+      ParseUs->record(static_cast<uint64_t>(DurUs));
+    if (obs::TraceContext *T = J->Req.Trace.get()) {
+      obs::Span S;
+      S.Name = "parse";
+      S.Cat = "job";
+      S.StartUs = StartUs;
+      S.DurUs = DurUs;
+      S.Args = {{"sketches", std::to_string(Sketches.size())}};
+      T->span(std::move(S));
+    }
+  }
+  {
+    MutexLock Guard(J->M);
+    J->Result.ParseMs = ParseMs;
+    if (J->Req.Deterministic)
+      J->PerSketch.resize(Sketches.size());
+  }
+  // Every later reader of the list runs after this write: the sketch
+  // tasks through the pool's queues, finalize through Remaining, the
+  // client through completion.
+  J->Req.Sketches = std::move(Sketches);
+  J->Remaining.fetch_add(static_cast<unsigned>(J->Req.Sketches.size()),
+                         std::memory_order_relaxed);
+  fanOut(J);
+  finishTask(J); // this task's own count
 }
 
 std::vector<JobResult> Engine::runBatch(std::vector<JobRequest> Requests) {
@@ -515,7 +569,8 @@ void Engine::finalize(const JobPtr &J) {
     }
     J->Result.TotalMs = J->SinceSubmit.elapsedMs();
     J->Result.ExecMs = J->execElapsedMs();
-    J->Result.QueueMs = J->Result.TotalMs - J->Result.ExecMs;
+    J->Result.QueueMs =
+        J->Result.TotalMs - J->Result.ParseMs - J->Result.ExecMs;
     if (J->deadlineExpired() && !J->Result.solved())
       J->Result.DeadlineExpired = true;
     if (J->residencyExpired() && !J->Result.solved())
@@ -585,11 +640,12 @@ void Engine::observeCompletion(const JobPtr &J, const char *Verdict,
   // every completion path (normal, expired-in-queue, and the submit-time
   // fast paths), so this is the one place job-level latency histograms
   // and job/queue/exec spans are recorded.
-  double QueueMs, ExecMs, TotalMs;
+  double QueueMs, ParseMs, ExecMs, TotalMs;
   bool Ran, Accepted;
   {
     MutexLock Guard(J->M);
     QueueMs = J->Result.QueueMs;
+    ParseMs = J->Result.ParseMs;
     ExecMs = J->Result.ExecMs;
     TotalMs = J->Result.TotalMs;
     Ran = J->Result.TasksRun > 0;
@@ -597,7 +653,7 @@ void Engine::observeCompletion(const JobPtr &J, const char *Verdict,
     // their (near-zero) latencies would only distort the accepted-job
     // histograms. Their counters are tracked separately.
     Accepted = !J->Result.Rejected && !J->Result.ShedOnArrival &&
-               !J->Req.Sketches.empty();
+               (!J->Req.Sketches.empty() || J->Req.SketchSource);
   }
   if (Cfg.Observability && Accepted) {
     JobHists &H = PerPri[static_cast<unsigned>(J->Req.Pri)];
@@ -612,8 +668,10 @@ void Engine::observeCompletion(const JobPtr &J, const char *Verdict,
   if (const std::shared_ptr<obs::TraceContext> &T = J->Req.Trace) {
     const int64_t SubmitUs = J->SinceSubmit.startUs();
     if (Accepted) {
+      // Everything before the first sketch task, the parse included (its
+      // own span nests inside).
       T->spanEnvelope("queue", "job", SubmitUs,
-              static_cast<int64_t>(QueueMs * 1000.0 + 0.5));
+              static_cast<int64_t>((QueueMs + ParseMs) * 1000.0 + 0.5));
       const int64_t ExecRelUs =
           J->ExecStartUs.load(std::memory_order_acquire);
       if (ExecRelUs >= 0)

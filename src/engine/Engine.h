@@ -2,7 +2,8 @@
 //
 // Part of the Regel reproduction. The serving layer the paper's Sec. 6
 // parallelism grows into: one persistent Engine per process (or per
-// tenant) accepts many concurrent synthesis jobs, fans each out into one
+// tenant) accepts many concurrent synthesis jobs, parses a job's
+// description on a worker when it carries one, fans each job out into one
 // task per sketch on a shared priority-aware work-stealing pool, cancels
 // sibling tasks as soon as a job has its TopK answers, enforces per-job
 // deadlines, and shares the sketch-approximation and SMT verdict caches
@@ -146,7 +147,9 @@ public:
   /// enqueued: the handle is already complete with Result.Rejected set
   /// (continuations registered on it run immediately, and it still
   /// reaches the completion queue when the request opted in — a rejected
-  /// job is a completion the client must see).
+  /// job is a completion the client must see). A request with a
+  /// SketchSource is admitted the same way and then queues one parse
+  /// task; its sketch tasks are fanned out by that task, on a worker.
   JobPtr submit(JobRequest R);
 
   /// Submits every request, then blocks until all are done. Results are
@@ -229,6 +232,12 @@ public:
   ServiceTimeEstimator &estimator() { return Estimator; }
 
 private:
+  /// Queues one search task per sketch of \p J (the pool refusing one,
+  /// at shutdown, accounts it as skipped).
+  void fanOut(const JobPtr &J);
+  /// A deferred job's first task: calls the request's SketchSource, then
+  /// fans out its sketches.
+  void runParseTask(const JobPtr &J);
   void runSketchTask(const JobPtr &J, unsigned Rank);
   void finishTask(const JobPtr &J);
   void finalize(const JobPtr &J);
@@ -281,6 +290,7 @@ private:
   JobHists PerPri[NumPriorities];
   obs::Histogram *TaskExecUs = nullptr;
   obs::Histogram *SmtInferUs = nullptr;
+  obs::Histogram *ParseUs = nullptr;
 
   EngineStats Stats;
   ServiceTimeEstimator Estimator;

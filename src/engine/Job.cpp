@@ -16,12 +16,20 @@ SynthJob::SynthJob(JobRequest R, std::shared_ptr<const Clock> C)
     PerSketch.resize(Req.Sketches.size());
 }
 
+bool SynthJob::claimParse() {
+  int64_t Expected = NotStartedUs;
+  return ExecStartUs.compare_exchange_strong(Expected, ParsingUs,
+                                             std::memory_order_acq_rel);
+}
+
 bool SynthJob::markStarted() {
-  int64_t Expected = -1;
-  int64_t NowUs = static_cast<int64_t>(SinceSubmit.elapsedMs() * 1000.0);
-  if (ExecStartUs.compare_exchange_strong(Expected, NowUs,
+  const int64_t NowUs =
+      static_cast<int64_t>(SinceSubmit.elapsedMs() * 1000.0);
+  int64_t Expected = ExecStartUs.load(std::memory_order_acquire);
+  while (Expected == NotStartedUs || Expected == ParsingUs)
+    if (ExecStartUs.compare_exchange_weak(Expected, NowUs,
                                           std::memory_order_acq_rel))
-    return true;
+      return true;
   // Lost the race: either a sibling task started first (normal) or the
   // deadline sweep expired the job in queue (the task must bail out).
   return Expected != ExpiredBeforeStartUs;

@@ -1,9 +1,11 @@
 //===- engine/Job.h - Synthesis jobs ----------------------------*- C++ -*-===//
 //
 // Part of the Regel reproduction. A SynthJob is one multi-modal synthesis
-// request (sketch list + examples) submitted to the engine. The engine
-// fans it out into one task per sketch; the job object carries the shared
-// state those tasks coordinate through:
+// request (sketch list, or a description to parse into one, + examples)
+// submitted to the engine. The engine fans it out into one task per
+// sketch, after a first task that parses the description when the request
+// carries one; the job object carries the shared state those tasks
+// coordinate through:
 //
 //   * a cancellation flag — set when the job has TopK answers (so sibling
 //     sketch tasks stop mid-search), when the per-job deadline passes, or
@@ -49,7 +51,21 @@ class Engine;
 
 /// One synthesis request, as accepted by Engine::submit.
 struct JobRequest {
-  std::vector<SketchPtr> Sketches; ///< ranked, best first
+  /// Ranked, best first. For a request with a SketchSource this starts
+  /// empty and holds the source's list once the parse ran; read it then
+  /// only after the job completed.
+  std::vector<SketchPtr> Sketches;
+
+  /// Deferred sketch list (null = Sketches is the list). The engine
+  /// admits the job as usual, then runs the source on a worker as the
+  /// job's first task, at the job's priority, and fans out one search
+  /// task per sketch it returns. A job cancelled or expired before that
+  /// task starts never calls it. Called at most once, from any worker
+  /// thread. regel::buildJobRequest's description overload builds one
+  /// over the NL parser, so parsing runs in the engine instead of on the
+  /// submitting thread.
+  std::function<std::vector<SketchPtr>()> SketchSource;
+
   Examples E;
   unsigned TopK = 1;
 
@@ -61,9 +77,9 @@ struct JobRequest {
   Priority Pri = Priority::Interactive;
 
   /// Per-job deadline in milliseconds (0 = none). The clock starts when
-  /// the job's first task begins executing, not at submission: BudgetMs is
-  /// the paper's synthesis budget t, and queue wait under load must not
-  /// eat it.
+  /// the job's first sketch task begins executing, not at submission and
+  /// not at the parse: BudgetMs is the paper's synthesis budget t, and
+  /// neither queue wait under load nor parsing may eat it.
   int64_t BudgetMs = 10000;
   int64_t PerSketchBudgetMs = 0; ///< 0 = BudgetMs / #sketches, 250ms floor
 
@@ -110,12 +126,14 @@ struct JobAnswer {
 
 /// Final outcome of a job. Task counts partition the job's sketch list:
 /// TasksRun + TasksSkipped equals the number of sketches, and TasksStopped
-/// is the subset of TasksRun that was cancelled mid-search.
+/// is the subset of TasksRun that was cancelled mid-search. The times
+/// partition TotalMs: QueueMs + ParseMs + ExecMs.
 struct JobResult {
   std::vector<JobAnswer> Answers; ///< up to TopK
-  double QueueMs = 0;   ///< submit -> first task started
+  double QueueMs = 0;   ///< waiting for a worker, before and after the parse
   double TotalMs = 0;   ///< submit -> completion (includes queue wait)
-  double ExecMs = 0;    ///< first task started -> completion
+  double ParseMs = 0;   ///< the SketchSource call (0 without one)
+  double ExecMs = 0;    ///< first sketch task started -> completion
   uint64_t TasksRun = 0;     ///< tasks that executed a search
   uint64_t TasksSkipped = 0; ///< tasks cancelled before starting
   uint64_t TasksStopped = 0; ///< subset of TasksRun, stopped mid-search
@@ -202,13 +220,21 @@ public:
 private:
   friend class Engine;
 
-  /// ExecStartUs value meaning "expired in queue before any task started"
-  /// (claimed by the engine's deadline sweep; excludes markStarted).
+  /// ExecStartUs values before the first sketch task: queued (the only
+  /// state the deadline sweep expires from), expired in queue (claimed by
+  /// the sweep; excludes every task), and parse claimed (the sweep can no
+  /// longer expire the job; lazy checks in the tasks take over).
+  static constexpr int64_t NotStartedUs = -1;
   static constexpr int64_t ExpiredBeforeStartUs = -2;
+  static constexpr int64_t ParsingUs = -3;
 
   SynthJob(JobRequest R, std::shared_ptr<const Clock> C);
 
-  /// Marks execution started (first caller wins; later calls no-op).
+  /// Claims the job for its parse task. Returns false iff the deadline
+  /// sweep already expired the job in queue (the task must do nothing).
+  bool claimParse();
+
+  /// Marks execution started (first sketch task wins; later calls no-op).
   /// Returns false iff the engine's deadline sweep already expired the
   /// job in queue — the task must not run, touch the result, or account
   /// anything (the sweep accounted every task as skipped).
@@ -247,10 +273,9 @@ private:
   /// the deadline sweep's expire-in-queue path both publish through it.
   std::atomic<bool> Finalized{false};
   Stopwatch SinceSubmit;
-  /// Microseconds from submission to first task start; -1 = not started,
-  /// ExpiredBeforeStartUs = expired in queue (see markStarted).
-  /// Anchors the per-job deadline and QueueMs/ExecMs.
-  std::atomic<int64_t> ExecStartUs{-1};
+  /// Microseconds from submission to first sketch task start, or one of
+  /// the negative states above. Anchors the per-job deadline and ExecMs.
+  std::atomic<int64_t> ExecStartUs{NotStartedUs};
 
   /// The estimator's exec estimate for the job's class, sampled at accept
   /// time (negative = cold). Compared against actual ExecMs at completion

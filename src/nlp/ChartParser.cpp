@@ -3,6 +3,8 @@
 #include "nlp/ChartParser.h"
 
 #include <algorithm>
+#include <cassert>
+#include <initializer_list>
 
 using namespace regel;
 using namespace regel::nlp;
@@ -17,8 +19,11 @@ public:
       : G(G), FS(FS), Tokens(Tokens), Weights(Weights), Cfg(Cfg) {
     N = static_cast<unsigned>(Tokens.size());
     Chart.resize(static_cast<size_t>(N + 1) * (N + 1));
-    for (const Rule &R : G.rules())
+    for (const Rule &R : G.rules()) {
+      assert((R.Rhs.size() != 1 || R.Rhs[0] != R.Lhs) &&
+             "a unary rule must change the category (see buildCell)");
       RulesByFirst[R.Rhs[0]].push_back(&R);
+    }
   }
 
   std::vector<Derivation> run() {
@@ -28,7 +33,7 @@ public:
     for (unsigned Len = 1; Len <= N; ++Len)
       for (unsigned I = 0; I + Len <= N; ++I)
         buildCell(I, I + Len);
-    std::vector<Derivation> Roots = cell(0, N).ByCat[CatRoot];
+    std::vector<Derivation> Roots = std::move(cell(0, N).ByCat[CatRoot]);
     std::sort(Roots.begin(), Roots.end(),
               [](const Derivation &A, const Derivation &B) {
                 return A.Score > B.Score;
@@ -95,25 +100,42 @@ private:
     }
   }
 
-  void tryApply(const Rule &R, const std::vector<const Derivation *> &Kids,
+  /// Applies \p R to \p Kids and offers the result to the open cell. The
+  /// merged features live in Scratch until the cell keeps the item; the
+  /// score is dotFeatures over exactly that merged vector, so it matches
+  /// (bit for bit) the score of the vector the cell stores.
+  void tryApply(const Rule &R, std::initializer_list<const Derivation *> Kids,
                 unsigned SpanLen) {
-    std::vector<const SemValue *> Vals;
-    Vals.reserve(Kids.size());
+    Vals.clear();
     for (const Derivation *K : Kids)
       Vals.push_back(&K->Val);
     std::optional<SemValue> Res = R.Apply(Vals);
     if (!Res)
       return;
+    const Derivation *const *K = Kids.begin();
+    switch (Kids.size()) {
+    case 1:
+      Scratch = K[0]->Features;
+      break;
+    case 2:
+      mergeFeaturesInto(Scratch, K[0]->Features, K[1]->Features);
+      break;
+    default:
+      mergeFeaturesInto(MergeTmp, K[0]->Features, K[1]->Features);
+      mergeFeaturesInto(Scratch, MergeTmp, K[2]->Features);
+      break;
+    }
     uint32_t RuleIdx = static_cast<uint32_t>(&R - G.rules().data());
+    addFeature(Scratch, FS.ruleFeature(RuleIdx), 1.0f);
+    addFeature(Scratch, FS.spanFeature(R.Lhs, SpanLen), 1.0f);
     Derivation D;
     D.Category = R.Lhs;
     D.Val = std::move(*Res);
-    for (const Derivation *K : Kids)
-      mergeFeatures(D.Features, K->Features);
-    addFeature(D.Features, FS.ruleFeature(RuleIdx), 1.0f);
-    addFeature(D.Features, FS.spanFeature(R.Lhs, SpanLen), 1.0f);
-    D.Score = scoreOf(D.Features);
-    Builder.add(std::move(D));
+    D.Score = scoreOf(Scratch);
+    Builder.offer(D, D.Score, [this, &D] {
+      D.Features = Scratch;
+      return std::move(D);
+    });
   }
 
   void buildCell(unsigned I, unsigned J) {
@@ -122,21 +144,32 @@ private:
     unsigned Len = J - I;
 
     // Skip-extension: inherit from the two sub-spans one token shorter,
-    // firing the skipped-token feature.
+    // firing the skipped-token feature. The score adds the skip feature
+    // inside the dot product, and the extended item is built only when
+    // the cell keeps it.
     if (Len >= 2) {
+      const uint32_t Skip = FS.skipFeature();
       for (const ChartCell *From : {&cell(I, J - 1), &cell(I + 1, J)})
         for (const auto &Bucket : From->ByCat)
           for (const Derivation &D : Bucket) {
-            Derivation E = D;
-            addFeature(E.Features, FS.skipFeature(), 1.0f);
-            E.Score = scoreOf(E.Features);
-            Builder.add(std::move(E));
+            const double Score =
+                dotFeaturesWith(D.Features, Skip, 1.0f, Weights);
+            Builder.offer(D, Score, [&D, Skip, Score] {
+              Derivation E;
+              E.Category = D.Category;
+              E.Val = D.Val;
+              E.Features.reserve(D.Features.size() + 1);
+              E.Features = D.Features;
+              addFeature(E.Features, Skip, 1.0f);
+              E.Score = Score;
+              return E;
+            });
           }
     }
 
     // Lexical derivations covering this exact span.
     for (const Derivation &D : Lexical[I * (N + 1) + J])
-      Builder.add(D);
+      Builder.offer(D, D.Score, [&D] { return D; });
 
     // Binary and ternary composition over exact adjacent splits.
     for (unsigned K = I + 1; K < J; ++K) {
@@ -169,7 +202,10 @@ private:
       }
     }
 
-    // Unary closure (CC -> PROGRAM -> LIST -> SKETCH -> ROOT).
+    // Unary closure (CC -> PROGRAM -> LIST -> SKETCH -> ROOT). No unary
+    // rule keeps its category (see the constructor), so adding a result
+    // never grows or rewrites the bucket being walked: its items can be
+    // read in place.
     for (unsigned Round = 0; Round < 4; ++Round) {
       size_t Before = C.Count;
       for (unsigned Cat = 0; Cat < NumCats; ++Cat) {
@@ -178,7 +214,7 @@ private:
           continue;
         size_t BucketSize = C.ByCat[Cat].size();
         for (size_t Idx = 0; Idx < BucketSize; ++Idx) {
-          Derivation D = C.ByCat[Cat][Idx]; // copy: bucket may grow
+          const Derivation &D = C.ByCat[Cat][Idx];
           for (const Rule *R : It->second)
             if (R->Rhs.size() == 1)
               tryApply(*R, {&D}, Len);
@@ -199,6 +235,10 @@ private:
   unsigned N;
   std::vector<ChartCell> Chart;
   CellBuilder Builder;
+  /// tryApply's reused buffers: the children's values, and the merged
+  /// feature vector (plus the ternary merge's intermediate).
+  std::vector<const SemValue *> Vals;
+  FeatureVec Scratch, MergeTmp;
   std::vector<std::vector<Derivation>> Lexical;
   std::unordered_map<uint16_t, std::vector<const Rule *>> RulesByFirst;
 };

@@ -57,23 +57,36 @@ public:
   /// Adds \p D to the cell, or keeps the better-scored of it and the item
   /// with the same identity already there.
   void add(Derivation D) {
-    const uint16_t C = D.Category;
-    Probe = &D;
+    offer(D, D.Score, [&D] { return std::move(D); });
+  }
+
+  /// Offers an item with \p Key's identity (category and semantics) and
+  /// score \p Score; \p Make builds the item, with that score, only when
+  /// the cell keeps it (a new identity, or a better score than the
+  /// holder). The many items a cell drops thus never copy a value or
+  /// allocate a feature vector. \p Key is not read after Make runs.
+  template <typename MakeItem>
+  void offer(const Derivation &Key, double Score, MakeItem &&Make) {
+    const uint16_t C = Key.Category;
+    Probe = &Key;
     auto It = Index.find({C, ProbeIdx});
     Probe = nullptr;
     if (It != Index.end()) {
       Derivation &Old = Cell->ByCat[It->Category][It->Idx];
-      if (Old.Score < D.Score)
-        Old = std::move(D);
+      if (Old.Score < Score)
+        Old = Make();
       return;
     }
-    Cell->ByCat[C].push_back(std::move(D));
+    Cell->ByCat[C].push_back(Make());
     Index.insert({C, static_cast<uint32_t>(Cell->ByCat[C].size() - 1)});
     ++Cell->Count;
   }
 
   /// Applies the beam per category, so junk in one category can never
   /// flush another category's derivations out of the cell, and ends it.
+  /// Each bucket gives back the capacity its pre-beam candidates grew:
+  /// the chart keeps every cell until the parse ends, so spare capacity
+  /// would otherwise outlive the cell's construction in all of them.
   void finish(unsigned BeamPerCat) {
     size_t Kept = 0;
     for (auto &Bucket : Cell->ByCat) {
@@ -84,6 +97,8 @@ public:
                          });
         Bucket.resize(BeamPerCat);
       }
+      if (Bucket.capacity() > Bucket.size())
+        Bucket.shrink_to_fit();
       Kept += Bucket.size();
     }
     Cell->Count = Kept;

@@ -19,10 +19,9 @@ void regel::nlp::addFeature(FeatureVec &V, uint32_t Id, float Delta) {
   V.insert(It, {Id, Delta});
 }
 
-void regel::nlp::mergeFeatures(FeatureVec &V, const FeatureVec &W) {
-  if (W.empty())
-    return;
-  FeatureVec Out;
+void regel::nlp::mergeFeaturesInto(FeatureVec &Out, const FeatureVec &V,
+                                   const FeatureVec &W) {
+  Out.clear();
   Out.reserve(V.size() + W.size());
   size_t I = 0, J = 0;
   while (I < V.size() && J < W.size()) {
@@ -36,11 +35,8 @@ void regel::nlp::mergeFeatures(FeatureVec &V, const FeatureVec &W) {
       ++J;
     }
   }
-  while (I < V.size())
-    Out.push_back(V[I++]);
-  while (J < W.size())
-    Out.push_back(W[J++]);
-  V = std::move(Out);
+  Out.insert(Out.end(), V.begin() + static_cast<ptrdiff_t>(I), V.end());
+  Out.insert(Out.end(), W.begin() + static_cast<ptrdiff_t>(J), W.end());
 }
 
 double regel::nlp::dotFeatures(const FeatureVec &V,
@@ -49,5 +45,30 @@ double regel::nlp::dotFeatures(const FeatureVec &V,
   for (const auto &[Id, Val] : V)
     if (Id < Weights.size())
       Sum += Weights[Id] * Val;
+  return Sum;
+}
+
+double regel::nlp::dotFeaturesWith(const FeatureVec &V, uint32_t Id,
+                                   float Delta,
+                                   const std::vector<double> &Weights) {
+  double Sum = 0;
+  auto Term = [&](uint32_t I, float Val) {
+    if (I < Weights.size())
+      Sum += Weights[I] * Val;
+  };
+  bool Added = false;
+  for (const auto &[I, Val] : V) {
+    if (!Added && Id <= I) {
+      Added = true;
+      if (Id == I) {
+        Term(I, Val + Delta);
+        continue;
+      }
+      Term(Id, Delta);
+    }
+    Term(I, Val);
+  }
+  if (!Added)
+    Term(Id, Delta);
   return Sum;
 }

@@ -21,11 +21,19 @@ using FeatureVec = std::vector<std::pair<uint32_t, float>>;
 /// Adds \p Delta to feature \p Id in \p V (keeps V sorted).
 void addFeature(FeatureVec &V, uint32_t Id, float Delta);
 
-/// V += W (sparse merge).
-void mergeFeatures(FeatureVec &V, const FeatureVec &W);
+/// Out = V + W (sparse merge; a shared id sums V's value then W's).
+/// Out must alias neither input; its capacity is reused.
+void mergeFeaturesInto(FeatureVec &Out, const FeatureVec &V,
+                       const FeatureVec &W);
 
-/// Dot product with a dense weight vector.
+/// Dot product with a dense weight vector, summed in id order.
 double dotFeatures(const FeatureVec &V, const std::vector<double> &Weights);
+
+/// dotFeatures of V with \p Delta added to feature \p Id, without building
+/// that vector: the same terms, summed in the same order, so the result is
+/// bit-identical to copying V, calling addFeature and then dotFeatures.
+double dotFeaturesWith(const FeatureVec &V, uint32_t Id, float Delta,
+                       const std::vector<double> &Weights);
 
 /// Feature-id layout derived from a grammar.
 class FeatureSpace {

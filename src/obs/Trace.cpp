@@ -3,6 +3,7 @@
 #include "obs/Trace.h"
 
 #include "obs/Metrics.h"
+#include "support/Hash.h"
 
 #include <cinttypes>
 #include <cstdio>
@@ -11,15 +12,6 @@ using namespace regel;
 using namespace regel::obs;
 
 namespace {
-
-/// splitmix64 — decorrelates the sequential trace ids into a uniform
-/// stream for the sampling decision. Deterministic by design.
-uint64_t mix64(uint64_t X) {
-  X += 0x9e3779b97f4a7c15ull;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
-  return X ^ (X >> 31);
-}
 
 void appendU64(std::string &Out, uint64_t V) {
   char Buf[24];

@@ -51,7 +51,7 @@ SocketServer::WakePipe::~WakePipe() {
     ::close(Wr);
 }
 
-SocketServer::SocketServer(std::shared_ptr<nlp::SemanticParser> Parser,
+SocketServer::SocketServer(std::shared_ptr<const nlp::SemanticParser> Parser,
                            std::shared_ptr<service::LocalService> Svc,
                            ServerConfig Cfg)
     : Parser(std::move(Parser)), Svc(std::move(Svc)), Cfg(std::move(Cfg)) {
@@ -504,14 +504,12 @@ void SocketServer::submitSolve(Connection &C) {
   }
   const uint64_t JobId = NextJobId++;
 
-  // Parsing the description runs here on the loop thread (it is
-  // milliseconds); the search itself is what the ticket hands to the
-  // engine. The pipeline is the Regel driver's own, so wire queries
-  // search exactly the sketch lists API queries do.
-  std::vector<SketchPtr> Sketches =
-      sketchesForDescription(*Parser, C.Description, C.Cfg.NumSketches);
+  // The ticket carries the description; the job's first engine task
+  // parses it on a worker (a parse can take seconds), and the pipeline is
+  // the Regel driver's own, so wire queries search exactly the sketch
+  // lists API queries do.
   service::Ticket T =
-      Svc->submit(buildJobRequest(C.Cfg, std::move(Sketches), C.E));
+      Svc->submit(buildJobRequest(C.Cfg, Parser, C.Description, C.E));
   trackTicket(C, T, JobId, Version::V1);
 
   Response R;
@@ -641,8 +639,8 @@ void SocketServer::submitV2(Connection &C, const Request &Req) {
   }
 
   // Explicit sketches take precedence (the client already holds parsed
-  // sketches); otherwise the description runs through the same parser
-  // pipeline as v1 solve.
+  // sketches); otherwise the description goes to the engine through the
+  // same parser pipeline as v1 solve.
   std::vector<SketchPtr> Sketches;
   for (const std::string &Text : Req.Sketches) {
     std::string ParseErr;
@@ -653,12 +651,9 @@ void SocketServer::submitV2(Connection &C, const Request &Req) {
     }
     Sketches.push_back(std::move(S));
   }
-  if (Sketches.empty()) {
-    if (Req.Text.empty() && Req.Pos.empty()) {
-      Refuse(ErrorCode::NothingToSolve);
-      return;
-    }
-    Sketches = sketchesForDescription(*Parser, Req.Text, C.Cfg.NumSketches);
+  if (Sketches.empty() && Req.Text.empty() && Req.Pos.empty()) {
+    Refuse(ErrorCode::NothingToSolve);
+    return;
   }
 
   // ONE request builder for every path: start from what a v1 solve on
@@ -670,7 +665,9 @@ void SocketServer::submitV2(Connection &C, const Request &Req) {
   Examples E;
   E.Pos = Req.Pos;
   E.Neg = Req.Neg;
-  engine::JobRequest R = buildJobRequest(C.Cfg, std::move(Sketches), E);
+  engine::JobRequest R =
+      Sketches.empty() ? buildJobRequest(C.Cfg, Parser, Req.Text, E)
+                       : buildJobRequest(C.Cfg, std::move(Sketches), E);
   if (Req.TopK > 0)
     R.TopK = Req.TopK;
   if (Req.HasPri)

@@ -7,9 +7,10 @@
 //
 //   * the listening socket, a wakeup pipe, and all client sockets are
 //     non-blocking and multiplexed through poll();
-//   * `solve` / `v2 submit` parse on the loop thread (cheap) and submit a
-//     ticket tagged with the connection — the loop never blocks on
-//     synthesis;
+//   * `solve` / `v2 submit` decode on the loop thread and submit a ticket
+//     tagged with the connection; a description is parsed into sketches
+//     by the job's first engine task, on a worker, so the loop blocks on
+//     neither parsing nor synthesis;
 //   * the service's wakeup hook writes one byte to the wakeup pipe, so a
 //     completion immediately breaks the poll() instead of waiting out its
 //     timeout;
@@ -117,8 +118,9 @@ struct ServerConfig {
 class SocketServer {
 public:
   /// Serves \p Svc. \p Parser turns v1 descriptions (and v2 desc=
-  /// fields) into sketches on the loop thread.
-  SocketServer(std::shared_ptr<nlp::SemanticParser> Parser,
+  /// fields) into sketches, on the engine's workers (see
+  /// regel::buildJobRequest); it must not be retrained while serving.
+  SocketServer(std::shared_ptr<const nlp::SemanticParser> Parser,
                std::shared_ptr<service::LocalService> Svc, ServerConfig Cfg);
 
   ~SocketServer();
@@ -217,7 +219,7 @@ private:
   /// time (the timer-driven half of the deadline sweep).
   int pollTimeoutMs() const;
 
-  std::shared_ptr<nlp::SemanticParser> Parser;
+  std::shared_ptr<const nlp::SemanticParser> Parser;
   std::shared_ptr<service::LocalService> Svc;
   ServerConfig Cfg;
 

@@ -51,13 +51,13 @@ constexpr unsigned NumInternShards = 8;
 
 FormulaInternShard &formulaShard(uint64_t Hash) {
   static FormulaInternShard Shards[NumInternShards];
-  return Shards[hashMix(Hash) % NumInternShards];
+  return Shards[mix64(Hash) % NumInternShards];
 }
 
 uint64_t formulaHash(FormulaKind Kind, CmpOp Op, const Term *L,
                      const Term *R,
                      const std::vector<const Formula *> &Parts) {
-  uint64_t H = hashMix(static_cast<uint64_t>(Kind) + 0x2545f4914f6cdd1dull);
+  uint64_t H = mix64(static_cast<uint64_t>(Kind) + 0x2545f4914f6cdd1dull);
   switch (Kind) {
   case FormulaKind::True:
   case FormulaKind::False:

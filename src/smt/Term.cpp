@@ -55,12 +55,12 @@ constexpr unsigned NumInternShards = 8;
 
 InternShard &termShard(uint64_t Hash) {
   static InternShard Shards[NumInternShards];
-  return Shards[hashMix(Hash) % NumInternShards];
+  return Shards[mix64(Hash) % NumInternShards];
 }
 
 uint64_t termHash(TermKind Kind, int64_t Value, VarId Var, const Term *L,
                   const Term *R) {
-  uint64_t H = hashMix(static_cast<uint64_t>(Kind) + 0x517cc1b727220a95ull);
+  uint64_t H = mix64(static_cast<uint64_t>(Kind) + 0x517cc1b727220a95ull);
   switch (Kind) {
   case TermKind::Const:
     return hashCombine(H, static_cast<uint64_t>(Value));

@@ -18,6 +18,8 @@
 #ifndef REGEL_SMT_TERM_H
 #define REGEL_SMT_TERM_H
 
+#include "support/Hash.h"
+
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -52,20 +54,10 @@ struct Interval {
   }
 };
 
-/// splitmix64 finalizer: full-avalanche mix for the structural hashes of
-/// terms and formulas (and the shard selection of the caches keyed on
-/// them).
-inline uint64_t hashMix(uint64_t X) {
-  X += 0x9e3779b97f4a7c15ull;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
-  return X ^ (X >> 31);
-}
-
 /// Order-sensitive hash combination (applied after canonical operand
 /// ordering, so equal operand multisets still hash equally).
 inline uint64_t hashCombine(uint64_t Seed, uint64_t V) {
-  return hashMix(Seed ^ (V + 0x9e3779b97f4a7c15ull + (Seed << 6) +
+  return mix64(Seed ^ (V + 0x9e3779b97f4a7c15ull + (Seed << 6) +
                          (Seed >> 2)));
 }
 

@@ -2,16 +2,17 @@
 
 #include "support/Random.h"
 
+#include "support/Hash.h"
+
 #include <cassert>
 
 using namespace regel;
 
 uint64_t Rng::next() {
+  // splitmix64's state walks the golden-ratio increments mix64 adds.
+  const uint64_t Z = mix64(State);
   State += 0x9e3779b97f4a7c15ull;
-  uint64_t Z = State;
-  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
-  return Z ^ (Z >> 31);
+  return Z;
 }
 
 uint64_t Rng::nextBelow(uint64_t N) {

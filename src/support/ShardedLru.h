@@ -23,6 +23,7 @@
 #ifndef REGEL_SUPPORT_SHARDEDLRU_H
 #define REGEL_SUPPORT_SHARDEDLRU_H
 
+#include "support/Hash.h"
 #include "support/Mutex.h"
 
 #include <algorithm>
@@ -48,15 +49,6 @@ struct CacheLimits {
   /// per entry, so this is a second entry cap (the tighter one applies).
   uint64_t MaxCost = 0;
 };
-
-/// splitmix64 finalizer: a cheap full-avalanche mix so shard selection
-/// depends on every bit of a key hash, not just the low ones.
-inline uint64_t mix64(uint64_t X) {
-  X += 0x9e3779b97f4a7c15ull;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
-  return X ^ (X >> 31);
-}
 
 /// A sharded, thread-safe, second-chance-LRU-bounded Key -> Value memo.
 /// Counts hits, misses and evictions; a lookup is exactly one of a hit or

@@ -5,6 +5,7 @@
 
 #include "regex/Matcher.h"
 #include "regex/Parser.h"
+#include "regex/Printer.h"
 #include "sketch/SketchParser.h"
 
 #include <gtest/gtest.h>
@@ -83,7 +84,50 @@ TEST(Regel, UnparseableDescriptionFallsBackToPbe) {
   RegelResult R = Tool.synthesize("qwerty asdf zxcv", E);
   // The parser yields nothing; the driver must still try pure PBE.
   ASSERT_EQ(R.Sketches.size(), 1u);
+  EXPECT_TRUE(sketchEquals(R.Sketches[0], Sketch::unconstrained()));
   EXPECT_TRUE(R.solved());
+}
+
+TEST(Regel, DescriptionJobsAnswerLikePreParsedSketches) {
+  // A description job parses on an engine worker; in deterministic mode
+  // its answers must be exactly those of the same job submitted with the
+  // sketch list parsed up front.
+  RegelConfig Cfg;
+  Cfg.NumSketches = 4;
+  Cfg.TopK = 2;
+  Cfg.Threads = 2;
+  Cfg.BudgetMs = 0;
+  Cfg.Synth.MaxPops = 3000;
+  Cfg.Deterministic = true;
+  Regel Tool(sharedParser(), Cfg);
+  struct Query {
+    const char *Desc;
+    Examples E;
+  };
+  const std::vector<Query> Queries = {
+      {"a capital letter followed by 2 digits",
+       {{"A12", "Z99", "Q07"}, {"12", "AB12", "a12"}}},
+      {"numbers separated by commas", {{"1,22,333", "7"}, {"1,", ",1", "a"}}},
+      {"strings that start with a letter and end with a digit",
+       {{"a1", "bc2", "Xy9"}, {"1a", "ab", "9"}}},
+  };
+  for (const Query &Q : Queries) {
+    const RegelResult Deferred = Tool.synthesize(Q.Desc, Q.E);
+    const std::vector<SketchPtr> Sketches =
+        sketchesForDescription(*sharedParser(), Q.Desc, Cfg.NumSketches);
+    const RegelResult Direct = Tool.synthesizeFromSketches(Sketches, Q.E);
+    ASSERT_EQ(Deferred.Sketches.size(), Sketches.size()) << Q.Desc;
+    for (size_t I = 0; I < Sketches.size(); ++I)
+      EXPECT_TRUE(sketchEquals(Deferred.Sketches[I], Sketches[I])) << Q.Desc;
+    ASSERT_EQ(Deferred.Answers.size(), Direct.Answers.size()) << Q.Desc;
+    for (size_t I = 0; I < Direct.Answers.size(); ++I) {
+      EXPECT_EQ(printRegex(Deferred.Answers[I].Regex),
+                printRegex(Direct.Answers[I].Regex))
+          << Q.Desc;
+      EXPECT_EQ(Deferred.Answers[I].SketchRank, Direct.Answers[I].SketchRank);
+    }
+    EXPECT_GE(Deferred.ParseMs, 0.0);
+  }
 }
 
 TEST(Baselines, RegelPbeSolvesTrivialTask) {

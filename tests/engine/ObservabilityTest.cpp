@@ -22,7 +22,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -238,4 +240,29 @@ TEST(Observability, MetricsTextCarriesCountersAndHistogramSeries) {
   ASSERT_EQ(Q.Count, 1u);
   EXPECT_EQ(Q.percentileUs(1.0),
             obs::Histogram::bucketUpperUs(obs::Histogram::bucketFor(25000)));
+}
+
+TEST(Observability, EveryHistogramIsCataloguedInTheDocs) {
+  // The catalog in docs/OBSERVABILITY.md is checked, not hand-synced:
+  // every histogram series the engine registers must have its row.
+  std::ifstream In(std::string(REGEL_SOURCE_DIR) + "/docs/OBSERVABILITY.md");
+  ASSERT_TRUE(In.good());
+  std::stringstream Doc;
+  Doc << In.rdbuf();
+  Engine Eng(EngineConfig{0, 4, nullptr});
+  std::istringstream Text(Eng.metricsText());
+  std::string Line;
+  unsigned Histograms = 0;
+  while (std::getline(Text, Line)) {
+    const std::string Type = "# TYPE ", Kind = " histogram";
+    if (Line.rfind(Type, 0) != 0 || Line.size() < Kind.size() ||
+        Line.compare(Line.size() - Kind.size(), Kind.size(), Kind) != 0)
+      continue;
+    ++Histograms;
+    const std::string Name =
+        Line.substr(Type.size(), Line.size() - Type.size() - Kind.size());
+    EXPECT_NE(Doc.str().find("`" + Name + "`"), std::string::npos)
+        << Name << " is missing from docs/OBSERVABILITY.md";
+  }
+  EXPECT_GE(Histograms, 7u);
 }

@@ -10,6 +10,7 @@
 
 #include "server/SocketServer.h"
 
+#include "data/StackOverflowSet.h"
 #include "engine/Engine.h"
 #include "obs/Metrics.h"
 #include "service/Protocol.h"
@@ -24,6 +25,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -683,4 +685,57 @@ TEST(SocketServer, DeadlineDrivenPollTimeoutExpiresQueuedSla) {
   // must beat that backstop by a wide margin even on a loaded CI box.
   EXPECT_LT(Ms, 900.0) << "expiry waited for the fixed poll timeout";
   EXPECT_EQ(F.engine().snapshot().JobsExpiredInQueue, 1u);
+}
+
+TEST(SocketServer, SlowDescriptionDelaysNoOtherConnection) {
+  // so-31's description takes the untrained parser seconds. The parse is
+  // the job's first engine task, so while one worker parses it the loop
+  // keeps serving: connection A's `queued` ack does not wait for the
+  // parse, and connection B's sketch job is answered on the other worker
+  // long before the parse ends.
+  const std::vector<data::Benchmark> SO = data::stackOverflowSet();
+  auto It = std::find_if(SO.begin(), SO.end(), [](const data::Benchmark &B) {
+    return B.Id == "so-31";
+  });
+  ASSERT_NE(It, SO.end());
+
+  ServerFixture F(/*Threads=*/2);
+  ASSERT_TRUE(F.started());
+  TestClient A, B;
+  ASSERT_TRUE(A.connectTo(F.port()));
+  ASSERT_TRUE(B.connectTo(F.port()));
+  A.readLine(); // greetings
+  B.readLine();
+  ASSERT_TRUE(A.sendLine("desc " + It->Description));
+  EXPECT_EQ(A.readLine(), "ok");
+  for (const std::string &P : It->Initial.Pos) {
+    ASSERT_TRUE(A.sendLine("pos " + P));
+    EXPECT_EQ(A.readLine(), "ok");
+  }
+  for (const std::string &N : It->Initial.Neg) {
+    ASSERT_TRUE(A.sendLine("neg " + N));
+    EXPECT_EQ(A.readLine(), "ok");
+  }
+  ASSERT_TRUE(A.sendLine("budget 1000"));
+  EXPECT_EQ(A.readLine(), "ok");
+
+  Stopwatch W;
+  ASSERT_TRUE(A.sendLine("solve"));
+  ASSERT_TRUE(B.sendLine("v2 submit id=5 "
+                         "sketch=Concat(<cap>%2CRepeat(<num>%2C2)) "
+                         "pos=A12 pos=Z99 neg=12 budget=8000"));
+  EXPECT_EQ(A.readLine().rfind("queued ", 0), 0u);
+  const double AckAMs = W.elapsedMs();
+  EXPECT_EQ(B.readLine(), "v2 queued id=5");
+  const std::string DoneB = B.readUntil("v2 done ");
+  const double DoneBMs = W.elapsedMs();
+  EXPECT_NE(DoneB.find("status=solved"), std::string::npos) << DoneB;
+  ASSERT_NE(A.readUntil("done ", /*TimeoutMs=*/300000), "");
+
+  const obs::HistogramSnapshot Parse =
+      F.engine().registry()->histogramSnapshot("regel_parse_us", "");
+  ASSERT_EQ(Parse.Count, 1u) << "exactly A's description was parsed";
+  const double ParseMs = static_cast<double>(Parse.SumUs) / 1000.0;
+  EXPECT_LT(AckAMs, ParseMs / 2) << "the ack waited for the parse";
+  EXPECT_LT(DoneBMs, ParseMs / 2) << "B's job waited for A's parse";
 }

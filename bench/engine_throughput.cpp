@@ -14,10 +14,9 @@
 // saturating Batch-class fan-out churns while Interactive-class queries
 // arrive at a fixed cadence, once on a FIFO pool and once on the weighted
 // priority pool, and the interactive p50/p95 of both modes land in the
-// `fairness` rows. Every pass is driven by THIS single thread through the
-// engine's completion queue (submit-all, then drain pollCompleted /
-// waitCompleted) — no thread is parked per job, which is the async API's
-// reason to exist.
+// `fairness` rows. Every pass is driven by THIS single thread: it submits
+// the whole batch, then waits on the handles — no helper thread is parked
+// per job.
 //
 // Environment knobs:
 //   REGEL_BENCH_LIMIT        max benchmarks per dataset (default 25, 0 = all)
@@ -66,7 +65,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 using namespace regel;
@@ -142,8 +140,8 @@ FairnessReport runFairnessMode(bool Fifo, unsigned Threads, size_t BatchJobs,
   // Interactive probes: a concrete sketch solves in ~a millisecond of
   // search, so the measured latency is queueing — exactly what priority
   // picking is supposed to bound. Latencies land through continuations
-  // and this thread blocks once, on the last one — the latch pattern
-  // Regel::synthesizeBatch uses.
+  // and this thread blocks once, on a latch the last one releases (a
+  // wait() per probe would pace the probes by their own latency).
   RegexPtr Probe = parseRegex("Concat(<cap>,Repeat(<num>,2))");
   Examples ProbeE;
   ProbeE.Pos = {"A12", "Z99"};
@@ -237,14 +235,21 @@ OverloadReport runOverloadMode(bool Shedding, unsigned Threads, size_t Jobs,
     R.E = Contradiction;
     R.BudgetMs = ExecMs;
     R.ResidencyBudgetMs = SlaMs;
-    R.EnqueueCompletion = true;
     Handles.push_back(Eng.submit(std::move(R)));
     if (IntervalMs > 0)
       std::this_thread::sleep_for(std::chrono::milliseconds(IntervalMs));
   }
-  size_t Done = 0;
-  while (Done < Handles.size())
-    Done += Eng.waitCompleted(250).size();
+  // Each wait is timed to the earliest queued SLA and followed by a
+  // sweep, so a queued job expires the moment its SLA lapses even while
+  // every worker is busy (the timer half of eager expiry).
+  for (const engine::JobPtr &J : Handles)
+    for (;;) {
+      Eng.sweepExpiredQueued();
+      const int64_t LeftUs = std::min<int64_t>(
+          Eng.nextResidencyDeadlineUs() - Eng.clock()->nowUs(), 250000);
+      if (J->waitFor(std::max<int64_t>((LeftUs + 999) / 1000, 1)))
+        break;
+    }
 
   OverloadReport Rep;
   Rep.Shedding = Shedding;
@@ -299,12 +304,10 @@ double runObsMode(bool Observability, unsigned Threads, size_t Jobs) {
     R.Sketches = {Sketch::concrete(Probe)};
     R.E = E;
     R.BudgetMs = 10000;
-    R.EnqueueCompletion = true;
     Handles.push_back(Eng.submit(std::move(R)));
   }
-  size_t Done = 0;
-  while (Done < Handles.size())
-    Done += Eng.waitCompleted(250).size();
+  for (const engine::JobPtr &J : Handles)
+    J->wait();
   const double WallMs = Wall.elapsedMs();
   return WallMs > 0 ? static_cast<double>(Jobs) * 1000.0 / WallMs : 0;
 }
@@ -355,26 +358,9 @@ PassReport runPass(unsigned Threads,
   }
 
   Stopwatch Wall;
-  // Submit the whole corpus, then drain it through the completion queue:
-  // one thread drives every in-flight job, no wait() parked per job.
-  std::vector<engine::JobResult> Results(Requests.size());
-  std::unordered_map<const engine::SynthJob *, size_t> Slot;
-  std::vector<engine::JobPtr> Jobs;
-  Jobs.reserve(Requests.size());
-  Slot.reserve(Requests.size());
-  for (size_t I = 0; I < Requests.size(); ++I) {
-    Requests[I].EnqueueCompletion = true;
-    engine::JobPtr J = Eng.submit(std::move(Requests[I]));
-    Slot[J.get()] = I;
-    Jobs.push_back(std::move(J));
-  }
-  size_t Done = 0;
-  while (Done < Jobs.size()) {
-    for (const engine::JobPtr &J : Eng.waitCompleted(250)) {
-      Results[Slot[J.get()]] = J->wait(); // complete: returns immediately
-      ++Done;
-    }
-  }
+  // Submit the whole corpus, then wait on each handle in turn.
+  const std::vector<engine::JobResult> Results =
+      Eng.runBatch(std::move(Requests));
   PassReport Rep;
   Rep.Threads = Threads;
   Rep.Jobs = Results.size();

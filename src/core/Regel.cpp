@@ -3,10 +3,8 @@
 #include "core/Regel.h"
 
 #include "engine/Engine.h"
-#include "support/Mutex.h"
 
 #include <algorithm>
-#include <condition_variable>
 
 using namespace regel;
 
@@ -48,7 +46,6 @@ engine::JobRequest regel::buildJobRequest(const RegelConfig &Cfg,
   R.ResidencyBudgetMs = Cfg.ResidencyBudgetMs;
   R.Synth = Cfg.Synth;
   R.Deterministic = Cfg.Deterministic;
-  R.EnqueueCompletion = Cfg.EnqueueCompletion;
   return R;
 }
 
@@ -110,58 +107,13 @@ RegelResult Regel::synthesizeFromSketches(
 
 std::vector<RegelResult>
 Regel::synthesizeBatch(const std::vector<RegelQuery> &Queries) const {
-  // Completion-driven collection: each job deposits its result through an
-  // onComplete continuation (running on the finishing worker — or right
-  // here, synchronously, for jobs that completed before registration),
-  // and this thread blocks exactly once, until the count drains. Unlike
-  // the old wait()-per-job loop, nothing is parked per outstanding job.
-  const size_t N = Queries.size();
-  // The collector uses the annotated wrapper like every other lock in
-  // the tree, so both -Wthread-safety and the lock-discipline analyzer
-  // cover it (it was the last function-local std::mutex).
-  struct BatchCollector {
-    Mutex M;
-    std::condition_variable CV;
-    size_t Remaining REGEL_GUARDED_BY(M) = 0;
-    std::vector<engine::JobResult> Results REGEL_GUARDED_BY(M);
-    // CV predicate; runs with M held (the wait re-acquires around it).
-    bool donePred() const REGEL_NO_THREAD_SAFETY_ANALYSIS {
-      return Remaining == 0;
-    }
-  };
-  BatchCollector C;
-  {
-    MutexLock Guard(C.M);
-    C.Remaining = N;
-    C.Results.resize(N);
-  }
   std::vector<engine::JobPtr> Jobs;
-  Jobs.reserve(N);
-  for (size_t I = 0; I < N; ++I) {
-    engine::JobPtr J = submit(Queries[I].Description, Queries[I].E);
-    Jobs.push_back(J);
-    J->onComplete([&C, I](const engine::JobResult &JR) {
-      // The notify stays under M: C is stack-local, so the instant the
-      // last callback releases the lock the (possibly spuriously woken)
-      // waiter can see Remaining==0, return, and destroy C — notifying
-      // after the unlock would touch a dead condition_variable.
-      MutexLock Guard(C.M);
-      C.Results[I] = JR;
-      if (--C.Remaining == 0)
-        C.CV.notify_all();
-    });
-  }
-  std::vector<engine::JobResult> JobResults;
-  {
-    UniqueLock Guard(C.M);
-    C.CV.wait(Guard.native(), [&C] { return C.donePred(); });
-    JobResults = std::move(C.Results);
-  }
-
+  Jobs.reserve(Queries.size());
+  for (const RegelQuery &Q : Queries)
+    Jobs.push_back(submit(Q.Description, Q.E));
   std::vector<RegelResult> Results;
-  Results.reserve(N);
-  for (size_t I = 0; I < N; ++I)
-    Results.push_back(
-        resultFromJob(JobResults[I], Jobs[I]->request().Sketches));
+  Results.reserve(Jobs.size());
+  for (const engine::JobPtr &J : Jobs)
+    Results.push_back(resultFromJob(J->wait(), J->request().Sketches));
   return Results;
 }

@@ -9,8 +9,8 @@
 // as free functions so ticket-based service clients (the socket server)
 // build byte-for-byte the same jobs the blocking driver does; none of
 // the driver's calls parses on its caller's thread. submit() returns the
-// rich in-process job handle, so handle-based clients coexist with a
-// completion-stream consumer (service::LocalService) on the same engine.
+// rich in-process job handle, so handle-based clients coexist with
+// ticket-based ones (service::LocalService) on the same engine.
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,10 +46,6 @@ struct RegelConfig {
   /// execution on a loaded shared engine, where BudgetMs alone lets
   /// residence time grow with the queue. See JobRequest::ResidencyBudgetMs.
   int64_t ResidencyBudgetMs = 0;
-
-  /// Forwarded to JobRequest::EnqueueCompletion: finished jobs become
-  /// retrievable via Engine::pollCompleted (event-loop clients).
-  bool EnqueueCompletion = false;
 
   /// Time source for a self-owned engine (null = steady clock; ignored
   /// when the driver runs on a shared engine, which brings its own).
@@ -139,9 +135,8 @@ public:
 
   /// Async entry point: submits one job for \p Description without
   /// blocking on the result. The returned handle drives the engine's
-  /// completion API (onComplete / waitFor / Engine::pollCompleted when
-  /// Cfg.EnqueueCompletion is set); pair with resultFromJob to recover a
-  /// RegelResult. The parse is the job's first engine task, so the
+  /// completion API (onComplete / waitFor / wait); pair with
+  /// resultFromJob to recover a RegelResult. The parse is the job's first engine task, so the
   /// calling thread neither parses nor searches.
   engine::JobPtr submit(const std::string &Description,
                         const Examples &E) const;
@@ -156,10 +151,9 @@ public:
   static RegelResult resultFromJob(const engine::JobResult &JR,
                                    std::vector<SketchPtr> Sketches);
 
-  /// Submits every query to the engine at once and collects them through
-  /// completion continuations: concurrent queries parse and search on
-  /// the shared pool and caches, and no thread is parked per job — the
-  /// caller blocks once, on the last completion.
+  /// Submits every query to the engine at once, then waits for each in
+  /// order: concurrent queries parse and search on the shared pool and
+  /// caches, and only the calling thread blocks.
   std::vector<RegelResult>
   synthesizeBatch(const std::vector<RegelQuery> &Queries) const;
 

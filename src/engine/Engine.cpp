@@ -136,11 +136,6 @@ JobPtr Engine::submit(JobRequest R) {
       NextResidencyDeadlineUs.store(ResidencyHeap.top().DeadlineUs,
                                     std::memory_order_release);
     }
-    // Re-time any waitCompleted parked past this job's deadline. The
-    // empty critical section orders the notify after a racing waiter has
-    // either read the new deadline or entered its wait.
-    { MutexLock Guard(CompletedM); }
-    CompletedCV.notify_all();
   }
   return J;
 }
@@ -220,72 +215,7 @@ std::vector<JobResult> Engine::runBatch(std::vector<JobRequest> Requests) {
   return Results;
 }
 
-std::vector<JobPtr> Engine::pollCompleted() {
-  // Polling is a sweep point: an event-loop consumer keeps expiry eager
-  // even when every worker is pinned and no dispatch happens.
-  sweepExpiredQueued();
-  std::vector<JobPtr> Out;
-  MutexLock Guard(CompletedM);
-  Out.assign(std::make_move_iterator(Completed.begin()),
-             std::make_move_iterator(Completed.end()));
-  Completed.clear();
-  return Out;
-}
-
-std::vector<JobPtr> Engine::waitCompleted(int64_t TimeoutMs) {
-  assert(!onPoolWorkerThread() &&
-         "Engine::waitCompleted blocks; poll from the event loop thread");
-  // A queued job's SLA can lapse while we block, and the whole point of
-  // eager expiry is that its completion (ResidencyExpired set) surfaces
-  // here without waiting for a worker to free up. So each wait is timed
-  // to whichever comes first: the caller's deadline or the earliest
-  // registered residency deadline — no fixed-interval polling, and a
-  // submission registering an earlier deadline mid-wait notifies the CV
-  // to re-time. Everything runs on the engine clock, so the timeout is
-  // virtual under a ManualClock.
-  const int64_t DeadlineUs =
-      Clk->nowUs() + std::max<int64_t>(TimeoutMs, 0) * 1000;
-  for (;;) {
-    sweepExpiredQueued();
-    {
-      UniqueLock Guard(CompletedM);
-      if (Completed.empty()) {
-        const int64_t NowUs = Clk->nowUs();
-        if (NowUs >= DeadlineUs)
-          return {};
-        const int64_t WakeUs = std::min(
-            DeadlineUs,
-            NextResidencyDeadlineUs.load(std::memory_order_acquire));
-        const int64_t LeftMs =
-            std::max<int64_t>((WakeUs - NowUs + 999) / 1000, 1);
-        Clk->waitFor(CompletedCV, Guard.native(), LeftMs,
-                     [this] { return completionPendingPred(); });
-      }
-      if (!Completed.empty()) {
-        std::vector<JobPtr> Out;
-        Out.assign(std::make_move_iterator(Completed.begin()),
-                   std::make_move_iterator(Completed.end()));
-        Completed.clear();
-        return Out;
-      }
-    }
-    if (Clk->nowUs() >= DeadlineUs)
-      return {};
-  }
-}
-
-size_t Engine::completedPending() const {
-  MutexLock Guard(CompletedM);
-  return Completed.size();
-}
-
 void Engine::publishCompletion(const JobPtr &J) {
-  // Ready and the completion-queue push are ONE critical section under
-  // the job mutex: anything that can observe Ready (done(), waitFor, a
-  // racing onComplete that will run its callback synchronously) can only
-  // do so after the job is already pollable — so a continuation used as
-  // an event-loop wakeup never fires into an empty queue. A poller that
-  // wins the race the other way just blocks a beat on J->M in waitFor.
   // Notifications and continuations run outside every lock so they are
   // free to call back into the job or the engine.
   std::vector<SynthJob::Callback> CBs;
@@ -296,13 +226,7 @@ void Engine::publishCompletion(const JobPtr &J) {
     CBs.swap(J->Callbacks);
     Result = J->Result; // immutable once Ready; copied for the unlocked
                         // continuation calls below
-    if (J->Req.EnqueueCompletion) {
-      MutexLock QGuard(CompletedM);
-      Completed.push_back(J);
-    }
   }
-  if (J->Req.EnqueueCompletion)
-    CompletedCV.notify_all();
   J->CV.notify_all();
   for (SynthJob::Callback &CB : CBs)
     CB(Result);
@@ -328,7 +252,7 @@ void Engine::sweepExpiredQueued() {
   // Lock-free fast path for the hot dispatch loop: nothing can have
   // lapsed before the earliest registered deadline (INT64_MAX = empty
   // heap). The atomic is only advisory — a racing push is caught by the
-  // next sweep point, and the publisher notifies waitCompleted itself.
+  // next sweep point.
   if (Clk->nowUs() <
       NextResidencyDeadlineUs.load(std::memory_order_acquire))
     return;
@@ -610,7 +534,6 @@ StatsSnapshot Engine::snapshot() const {
   S.TasksRunInteractive = Pool.tasksRun(Priority::Interactive);
   S.TasksRunBatch = Pool.tasksRun(Priority::Batch);
   S.TasksRunBackground = Pool.tasksRun(Priority::Background);
-  S.CompletionsPending = completedPending();
   S.ApproxStoreHits = Caches->Approx.hits();
   S.ApproxStoreMisses = Caches->Approx.misses();
   S.ApproxStoreSize = Caches->Approx.size();
@@ -733,8 +656,6 @@ void Engine::mirrorSnapshot() const {
   R.counter("regel_smt_cache_evictions_total").set(S.SmtStoreEvictions);
   R.gauge("regel_queue_depth_jobs")
       .set(static_cast<int64_t>(queueDepth()));
-  R.gauge("regel_completions_pending")
-      .set(static_cast<int64_t>(S.CompletionsPending));
   R.gauge("regel_worker_threads")
       .set(static_cast<int64_t>(Pool.threadCount()));
   R.gauge("regel_approx_store_size_entries")

@@ -14,10 +14,9 @@
 // them. All semantic time flows through the Clock seam (EngineConfig::
 // TimeSource), so every budget, SLA, and timed wait is testable to the
 // millisecond under a ManualClock. Completion is async-first: jobs notify
-// through
-// onComplete continuations and (opt-in) the engine's completion queue, so
-// a single-threaded event loop — the socket server in src/server — can
-// drive thousands of in-flight jobs without blocking a thread per job.
+// through onComplete continuations, so a single-threaded event loop (the
+// socket server in src/server, through service::LocalService) can drive
+// thousands of in-flight jobs without blocking a thread per job.
 // core/Regel is a thin client of this class; servers and benches can
 // drive it directly through the batch API.
 //
@@ -36,9 +35,7 @@
 #include "support/Mutex.h"
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <queue>
 #include <vector>
@@ -145,9 +142,8 @@ public:
   /// async completion API (onComplete / waitFor / wait). Under
   /// backpressure (MaxQueueDepth reached) the job is rejected instead of
   /// enqueued: the handle is already complete with Result.Rejected set
-  /// (continuations registered on it run immediately, and it still
-  /// reaches the completion queue when the request opted in — a rejected
-  /// job is a completion the client must see). A request with a
+  /// (continuations registered on it run immediately — a rejected job is
+  /// a completion the client must see). A request with a
   /// SketchSource is admitted the same way and then queues one parse
   /// task; its sketch tasks are fanned out by that task, on a worker.
   JobPtr submit(JobRequest R);
@@ -156,27 +152,6 @@ public:
   /// positionally aligned with \p Requests. Must not be called from a
   /// worker thread (it blocks; debug builds assert).
   std::vector<JobResult> runBatch(std::vector<JobRequest> Requests);
-
-  /// Drains the completion queue: every job that finished since the last
-  /// poll and had EnqueueCompletion set, in completion order. Non-blocking;
-  /// returns empty when nothing completed. The single consumer loop of an
-  /// event-driven front-end pairs this with SynthJob::onComplete used as a
-  /// wakeup (e.g. writing a self-pipe) so it never busy-polls.
-  ///
-  /// The queue is a SINGLE-CONSUMER facility: the drain is destructive,
-  /// so exactly one client of an engine may poll it (two pollers steal
-  /// each other's completions). Other clients sharing the engine should
-  /// complete via onComplete/waitFor/wait, which are per-job and
-  /// unaffected.
-  std::vector<JobPtr> pollCompleted();
-
-  /// Like pollCompleted, but blocks up to \p TimeoutMs for at least one
-  /// completion. Returns empty on timeout. Must not be called from a
-  /// worker thread.
-  std::vector<JobPtr> waitCompleted(int64_t TimeoutMs);
-
-  /// Completions currently waiting in the queue (monitoring).
-  size_t completedPending() const;
 
   /// Jobs submitted but not yet completed.
   size_t queueDepth() const { return Queue.depth(); }
@@ -219,9 +194,10 @@ public:
   /// Earliest residency deadline among queued SLA jobs, as an absolute
   /// engine-clock instant in us (INT64_MAX when none). Lock-free read of
   /// the sweep's advisory atomic: an event loop bounds its poll timeout
-  /// by this so eager-expiry verdicts surface when they are due instead
-  /// of at the next fixed-interval tick (the timer half of the deadline
-  /// sweep; dispatch/submit/poll remain the event-driven half).
+  /// by this and then calls sweepExpiredQueued(), so eager-expiry
+  /// verdicts surface when they are due instead of at the next
+  /// fixed-interval tick (the timer half of the deadline sweep;
+  /// dispatch/submit remain the event-driven half).
   int64_t nextResidencyDeadlineUs() const {
     return NextResidencyDeadlineUs.load(std::memory_order_acquire);
   }
@@ -230,6 +206,15 @@ public:
   /// so tests can prime known estimates deterministically and monitoring
   /// can read convergence; production code only feeds it via completions.
   ServiceTimeEstimator &estimator() { return Estimator; }
+
+  /// Pops every residency-heap entry whose deadline has passed and
+  /// expires the jobs that never started (ResidencyExpired published
+  /// immediately, continuations run on this thread; their queued tasks
+  /// become no-ops). The engine calls it on each dispatch and each
+  /// submit; an event loop calls it too, timed by
+  /// nextResidencyDeadlineUs(), so expiry stays eager even when no
+  /// worker frees up. Cheap when nothing has lapsed (one atomic read).
+  void sweepExpiredQueued();
 
 private:
   /// Queues one search task per sketch of \p J (the pool refusing one,
@@ -247,20 +232,11 @@ private:
   /// plus estimated exec exceed it). Cold classes never shed.
   bool cannotMeetBudget(Priority P, int64_t ResidencyBudgetMs) const;
 
-  /// Pops every residency-heap entry whose deadline has passed and
-  /// expires the jobs that never started (ResidencyExpired published
-  /// immediately; their queued tasks become no-ops). Called on each
-  /// dispatch, each submit, and each completion-queue drain — so expiry
-  /// is eager even when no worker frees up.
-  void sweepExpiredQueued();
-
   /// Expires one still-queued job in place (the sweep's slow path).
   void expireQueued(const JobPtr &J);
 
-  /// Publishes a finished job: marks it Ready, hands it to the completion
-  /// queue (when opted in), wakes waiters, and runs continuations — in
-  /// that order, so a continuation used as an event-loop wakeup finds the
-  /// job already pollable. Pre: J->Result is final; called exactly once.
+  /// Publishes a finished job: marks it Ready, wakes waiters, and runs
+  /// continuations. Pre: J->Result is final; called exactly once.
   void publishCompletion(const JobPtr &J);
 
   /// Records the job-level latency histograms and spans at completion
@@ -315,21 +291,8 @@ private:
 
   /// Earliest deadline in ResidencyHeap (INT64_MAX = empty), written
   /// under HeapM, read lock-free: the sweep's fast path skips the mutex
-  /// on every dispatch while no deadline can have lapsed, and
-  /// waitCompleted times its waits to this instead of polling.
+  /// on every dispatch while no deadline can have lapsed.
   std::atomic<int64_t> NextResidencyDeadlineUs{INT64_MAX};
-
-  /// Completion queue (multi-producer: finishing workers; consumers:
-  /// pollCompleted / waitCompleted).
-  mutable Mutex CompletedM;
-  std::condition_variable CompletedCV;
-  std::deque<JobPtr> Completed REGEL_GUARDED_BY(CompletedM);
-
-  // CV-wait predicate: runs inside waitCompleted with CompletedM held,
-  // but Clang analyzes the lambda body as an unlocked function.
-  bool completionPendingPred() const REGEL_NO_THREAD_SAFETY_ANALYSIS {
-    return !Completed.empty();
-  }
 
   WorkerPool Pool; ///< last member: destroyed (and drained) first
 };

@@ -13,13 +13,13 @@
 //   * a per-job deadline started at submission;
 //   * the answer collector (mutex-guarded; per-rank buckets in
 //     deterministic mode);
-//   * the completion machinery: a latch (wait / waitFor), registered
-//     onComplete continuations, and — when the request opts in — a slot
-//     in the engine's completion queue (Engine::pollCompleted).
+//   * the completion machinery: a latch (wait / waitFor) and registered
+//     onComplete continuations.
 //
-// Completion is async-first: continuations and the completion queue are
-// the primary mechanism (one event-loop thread can drive thousands of
-// jobs), and wait() is a thin blocking shim kept for simple clients.
+// Completion is async-first: continuations are the primary mechanism (one
+// event-loop thread can drive thousands of jobs through them, as
+// service::LocalService does), and wait() is a thin blocking shim kept for
+// simple clients.
 //
 //===----------------------------------------------------------------------===//
 
@@ -101,12 +101,6 @@ struct JobRequest {
   /// cancellation would have skipped.
   bool Deterministic = false;
 
-  /// Opt the job into the engine's completion queue: when it finishes
-  /// (normally, rejected, or empty) its handle becomes retrievable via
-  /// Engine::pollCompleted / waitCompleted. Opt-in so wait()-style
-  /// clients that never poll don't leak handles into the queue.
-  bool EnqueueCompletion = false;
-
   /// Span sink for this job (normally created by the engine at submit when
   /// the tracer samples the job; a caller may pre-attach one to force
   /// tracing). Spans are recorded from submit through queue, dispatch,
@@ -176,8 +170,8 @@ public:
   ///
   /// Multiple continuations may be registered; each runs exactly once, in
   /// registration order. Continuations must not block (they hold up the
-  /// finishing worker): hand heavy work to another thread, or use the
-  /// engine's completion queue and poll from an event loop instead.
+  /// finishing worker): hand the result to another thread, as
+  /// service::LocalService does for its event loop.
   void onComplete(Callback CB);
 
   /// Blocks until every task of the job has finished, then returns a copy

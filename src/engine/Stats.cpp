@@ -17,7 +17,6 @@ std::string StatsSnapshot::toJson() const {
       "\"tasks\":{\"run\":%llu,\"skipped\":%llu,\"stopped\":%llu,"
       "\"stolen\":%llu,\"run_interactive\":%llu,\"run_batch\":%llu,"
       "\"run_background\":%llu},"
-      "\"completions_pending\":%llu,"
       "\"solutions\":%llu,"
       "\"synth\":{\"pops\":%llu,\"expansions\":%llu,\"pruned\":%llu,"
       "\"checked\":%llu,\"smt_interval_evals\":%llu,\"smt_solves\":%llu,"
@@ -42,7 +41,6 @@ std::string StatsSnapshot::toJson() const {
       (unsigned long long)TasksRunInteractive,
       (unsigned long long)TasksRunBatch,
       (unsigned long long)TasksRunBackground,
-      (unsigned long long)CompletionsPending,
       (unsigned long long)SolutionsFound,
       (unsigned long long)Pops, (unsigned long long)Expansions,
       (unsigned long long)PrunedInfeasible, (unsigned long long)ConcreteChecked,

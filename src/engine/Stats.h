@@ -54,7 +54,6 @@ struct StatsSnapshot {
   uint64_t TasksRunInteractive = 0;
   uint64_t TasksRunBatch = 0;
   uint64_t TasksRunBackground = 0;
-  uint64_t CompletionsPending = 0; ///< completion-queue backlog (gauge)
   uint64_t SolutionsFound = 0;
 
   // Summed SynthStats over every per-sketch run.

@@ -54,12 +54,7 @@ SocketServer::WakePipe::~WakePipe() {
 SocketServer::SocketServer(std::shared_ptr<const nlp::SemanticParser> Parser,
                            std::shared_ptr<service::LocalService> Svc,
                            ServerConfig Cfg)
-    : Parser(std::move(Parser)), Svc(std::move(Svc)), Cfg(std::move(Cfg)) {
-  // Completion delivery is the service's ticket stream either way; the
-  // flag only matters for handle-based engine clients sharing the
-  // engine, and keeping it set preserves the historical defaults.
-  this->Cfg.Defaults.EnqueueCompletion = true;
-}
+    : Parser(std::move(Parser)), Svc(std::move(Svc)), Cfg(std::move(Cfg)) {}
 
 SocketServer::~SocketServer() {
   // In-flight tickets keep running on the engine; cancel them so they
@@ -74,12 +69,9 @@ SocketServer::~SocketServer() {
   if (Svc) {
     for (const auto &KV : Pending)
       Svc->cancel(KV.first);
-    // Drain with non-blocking polls + real sleeps, NOT waitCompleted:
-    // LocalService::waitCompleted times out on the ENGINE clock, so one
-    // call against a frozen ManualClock engine would never return and no
-    // outer cap could fire. pollCompleted never blocks, which makes the
-    // real-time cap genuinely enforceable whatever clock the engine runs
-    // on.
+    // Drain with non-blocking polls + real sleeps: pollCompleted never
+    // blocks, so the real-time cap holds whatever clock the engine runs
+    // on (a frozen ManualClock included).
     const Stopwatch Drain; // real time
     while (!Pending.empty() && Drain.elapsedMs() < 60000) {
       for (const service::Completion &C : Svc->pollCompleted())

@@ -17,11 +17,11 @@
 //   * woken, the loop drains LocalService::pollCompleted(), routes each
 //     completion to its connection, and queues the response lines;
 //   * the poll() timeout itself is deadline-driven: it is bounded by the
-//     service's NextDeadlineDeltaMs, so the engine's residency-deadline
-//     sweep fires the moment the earliest queued SLA lapses even when no
-//     dispatch/submit event would have swept it — the timer half of eager
-//     expiry (poll-timeout standing in for a timerfd; same loop, no extra
-//     fd).
+//     service's NextDeadlineDeltaMs, and pollCompleted() runs the
+//     engine's residency-deadline sweep, so a queued SLA job expires the
+//     moment its SLA lapses even when no dispatch/submit event would have
+//     swept it — the timer half of eager expiry (poll-timeout standing in
+//     for a timerfd; same loop, no extra fd).
 //
 // Per-connection `priority` selects the job's scheduling class, and
 // MaxInflightPerConn bounds how many unfinished jobs one connection may
@@ -110,11 +110,9 @@ struct ServerConfig {
 /// the listening socket, run() drives the loop until stop() is called
 /// (from any thread, e.g. a signal handler or a test).
 ///
-/// The server registers itself as the service's completion consumer and
-/// wakeup target (LocalService is a single-consumer stream — see
-/// service/LocalService.h); nothing else may poll the same service
-/// instance. Handle-based clients of the engine underneath a
-/// LocalService are unaffected.
+/// The server registers itself as the service's poller and wakeup target;
+/// nothing else may poll the same service instance. Other services and
+/// handle-based clients of the engine underneath are unaffected.
 class SocketServer {
 public:
   /// Serves \p Svc. \p Parser turns v1 descriptions (and v2 desc=

@@ -2,23 +2,21 @@
 //
 // Part of the Regel reproduction. The asynchronous, ticket-based service
 // over one in-process engine::Engine that the socket server (and any
-// other event loop) runs on: tickets map 1:1 to engine job handles, the
-// completion stream is the engine's completion queue, and health() reads
-// the queue gauge plus the service-time estimator.
+// other event loop) runs on: tickets map 1:1 to engine job handles, each
+// job's onComplete continuation files its result under its ticket, and
+// health() reads the queue gauge plus the service-time estimator.
 //
 // The API is deliberately narrower than the in-process engine handle:
 //
 //   * submit() returns a Ticket immediately; the job's result arrives
-//     later as a Completion from pollCompleted()/waitCompleted(). Every
-//     submitted job produces EXACTLY ONE completion, including jobs that
-//     finish at submit (rejected by admission control, shed on arrival).
-//   * Completion delivery is a SINGLE-CONSUMER stream: the service must
-//     be its engine's ONLY completion-queue consumer
-//     (Engine::pollCompleted is a destructive single-consumer drain), and
-//     exactly one loop may poll a given service instance. Submitting
-//     from that same loop (as the socket server does) is the intended
-//     shape. Clients of the same engine that complete via
-//     onComplete/waitFor (Regel's blocking API) are unaffected.
+//     later as a Completion from pollCompleted(). Every submitted job
+//     produces EXACTLY ONE completion, including jobs that finish at
+//     submit (rejected by admission control, shed on arrival, empty).
+//   * Completions are per service: several services (and handle-based
+//     clients such as Regel) may share one engine, and each service
+//     delivers exactly its own tickets. One loop polls a given service;
+//     submitting from that same loop (as the socket server does) is the
+//     intended shape.
 //   * setWakeup() installs an event-loop poke: the hook MAY be invoked
 //     from arbitrary threads whenever a completion becomes pollable
 //     (spurious wakeups allowed, so it must only signal — e.g. write a
@@ -45,7 +43,7 @@ namespace regel::service {
 /// never a valid ticket.
 using Ticket = uint64_t;
 
-/// One finished job, as delivered by pollCompleted/waitCompleted.
+/// One finished job, as delivered by pollCompleted.
 struct Completion {
   Ticket Id = 0;
   engine::JobResult Result;
@@ -69,16 +67,13 @@ struct ServiceHealth {
 /// The asynchronous ticket-based service (see file header).
 class LocalService {
 public:
-  /// Serves \p Eng (never null). The engine may be shared with
-  /// handle-based clients, but not with another completion-queue
-  /// consumer.
+  /// Serves \p Eng (never null). The engine may be shared with other
+  /// services and with handle-based clients.
   explicit LocalService(std::shared_ptr<engine::Engine> Eng);
 
   /// Submits one job; never blocks on synthesis. The returned ticket's
-  /// completion is delivered through the completion stream exactly once
-  /// (even for jobs rejected/shed at submit). Forces completion-queue
-  /// delivery regardless of R.EnqueueCompletion — the stream is the only
-  /// result channel this API has.
+  /// completion is delivered by pollCompleted exactly once (even for jobs
+  /// rejected/shed at submit).
   Ticket submit(engine::JobRequest R);
 
   /// Requests cancellation of an in-flight ticket. Returns false when
@@ -86,13 +81,11 @@ public:
   /// delivers its (partial) completion.
   bool cancel(Ticket T);
 
-  /// Drains every completion that arrived since the last drain, in
-  /// completion order. Non-blocking. Single consumer (see file header).
+  /// Sweeps the engine's residency deadlines (so a queued job whose SLA
+  /// lapsed completes now, even with every worker busy), then drains
+  /// every completion that arrived since the last drain, in completion
+  /// order. Non-blocking.
   std::vector<Completion> pollCompleted();
-
-  /// Like pollCompleted, but blocks up to \p TimeoutMs for at least one
-  /// completion. Returns empty on timeout.
-  std::vector<Completion> waitCompleted(int64_t TimeoutMs);
 
   /// Point-in-time monitoring snapshot: the engine's stats JSON.
   std::string statsJson() const { return Eng->snapshot().toJson(); }
@@ -117,32 +110,21 @@ public:
   void setWakeup(std::function<void()> Fn);
 
 private:
-  std::vector<Completion> mapCompletions(std::vector<engine::JobPtr> Jobs);
-
-  /// The wakeup hook, shared with per-job continuations so a completion
-  /// firing after this service died still targets live state.
-  struct WakeHook {
+  /// Everything a job's continuation touches. Continuations capture this
+  /// (never their job handle, which ByTicket already holds), so a
+  /// completion firing after the service died still writes live state.
+  struct State {
     Mutex M;
-    std::function<void()> Fn REGEL_GUARDED_BY(M);
+    Ticket NextTicket REGEL_GUARDED_BY(M) = 1;
+    /// In-flight tickets (for cancel); a continuation erases its own.
+    std::unordered_map<Ticket, engine::JobPtr> ByTicket REGEL_GUARDED_BY(M);
+    /// Completions not yet drained by pollCompleted.
+    std::vector<Completion> Ready REGEL_GUARDED_BY(M);
+    std::function<void()> Wake REGEL_GUARDED_BY(M);
   };
 
   std::shared_ptr<engine::Engine> Eng;
-  std::shared_ptr<WakeHook> Hook;
-
-  mutable Mutex M;
-  Ticket NextTicket REGEL_GUARDED_BY(M) = 1;
-  std::unordered_map<const engine::SynthJob *, Ticket>
-      ByJob REGEL_GUARDED_BY(M);
-  std::unordered_map<Ticket, engine::JobPtr> ByTicket REGEL_GUARDED_BY(M);
-  /// Submits with a reserved ticket whose Eng->submit call (outside M)
-  /// has not returned; while nonzero, the drain parks unmapped jobs in
-  /// Stash instead of dropping them.
-  unsigned InFlightSubmits REGEL_GUARDED_BY(M) = 0;
-  /// Completed jobs the drain could not map to a ticket yet; the owning
-  /// submit tail claims its entry (bounded by InFlightSubmits).
-  std::vector<engine::JobPtr> Stash REGEL_GUARDED_BY(M);
-  /// Stash claims remapped to their tickets, awaiting the next drain.
-  std::vector<Completion> Ready REGEL_GUARDED_BY(M);
+  std::shared_ptr<State> St;
 };
 
 } // namespace regel::service

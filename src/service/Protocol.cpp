@@ -163,8 +163,6 @@ const char *regel::protocol::errorCodeName(ErrorCode E) {
     return "duplicate_id";
   case ErrorCode::UnknownId:
     return "unknown_id";
-  case ErrorCode::Unavailable:
-    return "unavailable";
   }
   return "none";
 }
@@ -177,8 +175,7 @@ bool regel::protocol::parseErrorCode(const std::string &Name,
       ErrorCode::NothingToSolve, ErrorCode::Busy,
       ErrorCode::ServerFull,    ErrorCode::LineTooLong,
       ErrorCode::Malformed,     ErrorCode::Oversized,
-      ErrorCode::DuplicateId,   ErrorCode::UnknownId,
-      ErrorCode::Unavailable};
+      ErrorCode::DuplicateId,   ErrorCode::UnknownId};
   for (ErrorCode E : All)
     if (Name == errorCodeName(E)) {
       Out = E;

@@ -55,8 +55,6 @@ enum class ErrorCode {
   Oversized,       ///< frame exceeds MaxFrameBytes
   DuplicateId,     ///< v2 submit id already in flight on this connection
   UnknownId,       ///< v2 cancel id not in flight on this connection
-  Unavailable,     ///< service unreachable (codec only; no in-tree server
-                   ///< emits it)
 };
 
 /// Stable lower-snake wire name of \p E ("unknown_command", ...).

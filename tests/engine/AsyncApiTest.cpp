@@ -1,8 +1,7 @@
 //===- tests/engine/AsyncApiTest.cpp --------------------------------------===//
 //
 // The async-first job API: completion continuations (exactly-once, both
-// registration orders, racing cancel), timed waits, the engine completion
-// queue driving many in-flight jobs from one thread, and the priority
+// registration orders, racing cancel), timed waits, and the priority
 // scheduler's starvation bound (interactive latency under a saturating
 // batch fan-out, FIFO vs weighted priority).
 //
@@ -22,7 +21,6 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 using namespace regel;
@@ -215,92 +213,6 @@ TEST(AsyncWaitFor, ZeroTimeoutIsAPoll) {
   EXPECT_TRUE(R->solved());
 }
 
-TEST(AsyncCompletionQueue, SingleThreadDrivesManyInFlightJobs) {
-  // The acceptance bar for the async API: one thread, no helpers, ≥64
-  // jobs in flight at once, all driven through the completion queue.
-  Engine Eng(EngineConfig{4, 8, nullptr});
-  const size_t Slow = 72, Fast = 8, N = Slow + Fast;
-  std::unordered_set<const SynthJob *> Outstanding;
-  std::vector<JobPtr> Jobs;
-  Jobs.reserve(N);
-  // Long-lived jobs first, then the live-concurrency snapshot: 4 workers
-  // against 72 jobs of ~300ms each cannot drain more than a handful
-  // while the (fast) submission loop runs, even under TSan's slowdown.
-  for (size_t I = 0; I < Slow; ++I) {
-    JobRequest R = slowRequest(300);
-    R.EnqueueCompletion = true;
-    JobPtr J = Eng.submit(std::move(R));
-    Outstanding.insert(J.get());
-    Jobs.push_back(std::move(J));
-  }
-  // Live concurrency, not just submission count: the engine must still
-  // hold >= 64 of the jobs in flight once the whole batch is submitted.
-  EXPECT_GE(Eng.queueDepth(), 64u);
-  for (size_t I = 0; I < Fast; ++I) {
-    JobRequest R = instantRequest();
-    R.EnqueueCompletion = true;
-    JobPtr J = Eng.submit(std::move(R));
-    Outstanding.insert(J.get());
-    Jobs.push_back(std::move(J));
-  }
-  size_t Drained = 0, Solved = 0;
-  Stopwatch W;
-  while (Drained < N && W.elapsedMs() < 30000) {
-    for (const JobPtr &J : Eng.waitCompleted(250)) {
-      ASSERT_EQ(Outstanding.erase(J.get()), 1u)
-          << "a job must surface exactly once";
-      std::optional<JobResult> R = J->waitFor(0);
-      ASSERT_TRUE(R.has_value());
-      if (R->solved())
-        ++Solved;
-      ++Drained;
-    }
-  }
-  EXPECT_EQ(Drained, N);
-  EXPECT_TRUE(Outstanding.empty());
-  EXPECT_EQ(Solved, Fast); // exactly the instantRequest jobs
-  EXPECT_EQ(Eng.completedPending(), 0u);
-}
-
-TEST(AsyncCompletionQueue, RejectedAndEmptyJobsStillCompleteAsync) {
-  EngineConfig EC{1, 4, nullptr};
-  EC.MaxQueueDepth = 1;
-  Engine Eng(EC);
-
-  JobRequest Busy = slowRequest(500);
-  Busy.EnqueueCompletion = true;
-  JobPtr BusyJob = Eng.submit(std::move(Busy));
-
-  // Rejected by admission control: continuation fires immediately and the
-  // handle still reaches the completion queue — an event-driven client
-  // must see every submission complete, shed or not.
-  JobRequest Shed = slowRequest(500);
-  Shed.EnqueueCompletion = true;
-  int ShedCalls = 0;
-  JobPtr ShedJob = Eng.submit(std::move(Shed));
-  ShedJob->onComplete([&](const JobResult &R) {
-    ++ShedCalls;
-    EXPECT_TRUE(R.Rejected);
-  });
-  EXPECT_EQ(ShedCalls, 1); // already complete: ran synchronously
-
-  // Empty sketch list: completes at submit, same contract.
-  JobRequest Empty;
-  Empty.E = contradiction();
-  Empty.EnqueueCompletion = true;
-  JobPtr EmptyJob = Eng.submit(std::move(Empty));
-  EXPECT_TRUE(EmptyJob->done());
-
-  std::unordered_set<const SynthJob *> Seen;
-  Stopwatch W;
-  while (Seen.size() < 3 && W.elapsedMs() < 10000)
-    for (const JobPtr &J : Eng.waitCompleted(100))
-      Seen.insert(J.get());
-  EXPECT_TRUE(Seen.count(BusyJob.get()));
-  EXPECT_TRUE(Seen.count(ShedJob.get()));
-  EXPECT_TRUE(Seen.count(EmptyJob.get()));
-}
-
 TEST(PriorityScheduling, InteractiveNotStarvedByBatchFanout) {
   // A 100-job Batch-class fan-out churns on both engines; interactive
   // probes arrive during the churn. On the FIFO pool each probe waits out
@@ -325,8 +237,8 @@ TEST(PriorityScheduling, InteractiveNotStarvedByBatchFanout) {
     // Pace the probes without blocking on them (an inline wait() would
     // let the whole FIFO backlog drain during the first probe, making
     // every later probe measure an idle pool): latencies land through
-    // continuations, and this thread blocks once, on the last one — the
-    // same latch pattern Regel::synthesizeBatch uses.
+    // continuations, and this thread blocks once, on a latch the last
+    // one releases.
     std::mutex M;
     std::condition_variable CV;
     std::vector<double> Latencies;

@@ -45,7 +45,6 @@ JobRequest deferredRequest(std::function<std::vector<SketchPtr>()> Source) {
   R.E.Pos = {"A12", "Z99"};
   R.E.Neg = {"12", "a12"};
   R.BudgetMs = 10000;
-  R.EnqueueCompletion = true;
   return R;
 }
 
@@ -198,7 +197,8 @@ TEST(DeferredParse, RejectedShedAndExpiredJobsNeverParse) {
     R.ResidencyBudgetMs = 50;
     JobPtr J = Eng.submit(std::move(R));
     MC->advanceMs(50);
-    ASSERT_EQ(Eng.pollCompleted().size(), 1u);
+    Eng.sweepExpiredQueued();
+    ASSERT_TRUE(J->done());
     const JobResult Res = *J->waitFor(0);
     EXPECT_TRUE(Res.ResidencyExpired);
     EXPECT_EQ(Res.TasksRun + Res.TasksSkipped, 0u);

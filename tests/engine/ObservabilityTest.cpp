@@ -40,7 +40,6 @@ JobRequest probeRequest() {
   R.E.Pos = {"A12", "Z99"};
   R.E.Neg = {"12", "a12"};
   R.BudgetMs = 10000;
-  R.EnqueueCompletion = true;
   return R;
 }
 
@@ -145,7 +144,8 @@ TEST(SpanTimeline, ExpiredInQueueTraceIsRetainedAtZeroSampleRate) {
   EXPECT_FALSE(J->done());
 
   MC->advanceMs(50); // the SLA lapses; the next sweep expires the job
-  ASSERT_EQ(Eng.pollCompleted().size(), 1u);
+  Eng.sweepExpiredQueued();
+  ASSERT_TRUE(J->done());
   const JobResult Res = *J->waitFor(0);
   EXPECT_TRUE(Res.ResidencyExpired);
   // Failure traces survive a zero sample rate (AlwaysKeepFailures).
@@ -214,10 +214,10 @@ TEST(Observability, MetricsTextCarriesCountersAndHistogramSeries) {
   R.BudgetMs = 0;
   R.Synth.MaxPops = 20000;
   R.ResidencyBudgetMs = 25;
-  R.EnqueueCompletion = true;
   JobPtr J = Eng.submit(std::move(R));
   MC->advanceMs(25);
-  ASSERT_EQ(Eng.pollCompleted().size(), 1u);
+  Eng.sweepExpiredQueued();
+  ASSERT_TRUE(J->done());
 
   const std::string Text = Eng.metricsText();
   EXPECT_NE(Text.find("# TYPE regel_jobs_submitted_total counter"),

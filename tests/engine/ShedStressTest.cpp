@@ -77,7 +77,6 @@ TEST(ShedStress, InvariantsHoldUnderRandomMixedLoad) {
   for (size_t I = 0; I < N; ++I) {
     JobRequest Req;
     Req.Pri = randomPriority(R);
-    Req.EnqueueCompletion = true;
     // Half the jobs churn an unsolvable search whose only bounds are the
     // (virtual) execution budget and the SLA clamp; half solve almost
     // instantly — so the estimator sees a real mix of service times.
@@ -101,7 +100,7 @@ TEST(ShedStress, InvariantsHoldUnderRandomMixedLoad) {
     Jobs.push_back({Eng.submit(std::move(Req)), Sla});
 
     MC->advanceMs(static_cast<int64_t>(R.nextBelow(static_cast<uint64_t>(MaxTickMs) + 1)));
-    (void)Eng.pollCompleted(); // sweep + drain; routing is not under test
+    Eng.sweepExpiredQueued(); // the event loop's timer-driven sweep
     std::this_thread::yield();
   }
 
@@ -109,7 +108,7 @@ TEST(ShedStress, InvariantsHoldUnderRandomMixedLoad) {
   Stopwatch RealCap;
   for (size_t Done = 0; Done < Jobs.size() && RealCap.elapsedMs() < 60000;) {
     MC->advanceMs(20);
-    (void)Eng.pollCompleted();
+    Eng.sweepExpiredQueued();
     std::this_thread::yield();
     Done = 0;
     for (const Submitted &S : Jobs)

@@ -46,7 +46,6 @@ JobRequest slaRequest(int64_t SlaMs, Priority P = Priority::Interactive) {
   R.BudgetMs = 0;
   R.ResidencyBudgetMs = SlaMs;
   R.Pri = P;
-  R.EnqueueCompletion = true;
   // Belt: if a non-cancelled queued job is ever drained by the engine
   // destructor (zero-worker tests), its search is bounded by pops, not by
   // the — frozen — virtual clock.
@@ -227,17 +226,15 @@ TEST(EagerExpiry, QueuedJobExpiresOnSweepNeverHandedToAWorker) {
 
   // One tick short of the SLA: nothing expires.
   MC->advanceMs(49);
-  EXPECT_TRUE(Eng.pollCompleted().empty());
+  Eng.sweepExpiredQueued();
   EXPECT_FALSE(J->done());
 
-  // The lapsing tick: the next sweep (here: a completion-queue poll; a
-  // dispatch or a submit would do the same) expires it immediately —
-  // pollCompleted sweeps before draining, so the expiry surfaces in this
-  // very call.
+  // The lapsing tick: the next sweep (here: an event loop's timer-driven
+  // call; a dispatch or a submit would do the same) expires it
+  // immediately.
   MC->advanceMs(1);
-  std::vector<JobPtr> Done = Eng.pollCompleted();
-  ASSERT_EQ(Done.size(), 1u);
-  EXPECT_EQ(Done[0].get(), J.get());
+  Eng.sweepExpiredQueued();
+  ASSERT_TRUE(J->done());
 
   JobResult Res = *J->waitFor(0);
   EXPECT_TRUE(Res.ResidencyExpired);
@@ -281,23 +278,6 @@ TEST(EagerExpiry, SubmitSweepFreesQueueSlotsBeforeAdmission) {
   Eng.cancelAll();
 }
 
-TEST(EagerExpiry, WaitCompletedSurfacesExpiryWithinVirtualTimeout) {
-  auto MC = std::make_shared<ManualClock>();
-  Engine Eng(manualConfig(MC, /*Threads=*/0));
-  JobPtr J = Eng.submit(slaRequest(/*SlaMs=*/20));
-
-  // Advance past the SLA while nobody sweeps, then block in
-  // waitCompleted: its internal sweep must surface the expiry without any
-  // dispatch happening (there are no workers to dispatch).
-  MC->advanceMs(25);
-  std::vector<JobPtr> Done = Eng.waitCompleted(/*TimeoutMs=*/1000);
-  ASSERT_EQ(Done.size(), 1u);
-  EXPECT_EQ(Done[0].get(), J.get());
-  EXPECT_TRUE(J->waitFor(0)->ResidencyExpired);
-  // The job expired at its 20ms deadline, observed at t=25.
-  EXPECT_DOUBLE_EQ(J->waitFor(0)->TotalMs, 25.0);
-}
-
 TEST(EagerExpiry, ExpiredJobStillFiresContinuationsExactlyOnce) {
   auto MC = std::make_shared<ManualClock>();
   Engine Eng(manualConfig(MC, /*Threads=*/0));
@@ -310,7 +290,7 @@ TEST(EagerExpiry, ExpiredJobStillFiresContinuationsExactlyOnce) {
   });
   EXPECT_EQ(Calls, 0);
   MC->advanceMs(10);
-  (void)Eng.pollCompleted(); // sweep runs the continuation synchronously
+  Eng.sweepExpiredQueued(); // runs the continuation synchronously
   EXPECT_EQ(Calls, 1);
   EXPECT_TRUE(SawExpired);
   // Registered after completion: runs synchronously, still exactly once.
@@ -331,15 +311,14 @@ TEST(EagerExpiry, DispatchSweepExpiresLapsedJobBehindARunningOne) {
   A.E.Pos = {"ab"};
   A.E.Neg = {"ab"}; // contradiction: only the budget ends it
   A.BudgetMs = 100; // virtual
-  A.EnqueueCompletion = true;
   JobPtr JobA = Eng.submit(std::move(A));
 
   JobPtr JobB = Eng.submit(slaRequest(/*SlaMs=*/50));
 
-  // B's SLA lapses at 60 < A's deadline: the poll-side sweep expires B
-  // even though the only worker is still busy with A.
+  // B's SLA lapses at 60 < A's deadline: the timer-driven sweep expires
+  // B even though the only worker is still busy with A.
   MC->advanceMs(60);
-  (void)Eng.pollCompleted(); // drives the sweep (and drains A's slot, no-op)
+  Eng.sweepExpiredQueued();
   std::optional<JobResult> RB = JobB->waitFor(/*TimeoutMs=*/0);
   ASSERT_TRUE(RB.has_value());
   EXPECT_TRUE(RB->ResidencyExpired);

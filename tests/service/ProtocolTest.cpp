@@ -224,6 +224,25 @@ TEST(ProtocolRequest, RetiredDfaFramesDecodeToErrors) {
             ErrorCode::Malformed);
 }
 
+TEST(ProtocolResponse, RetiredUnavailableCodeDecodesToAnError) {
+  // No server in the tree has emitted `unavailable` since the DFA tier
+  // was removed, so it is no longer part of the taxonomy.
+  ErrorCode E = ErrorCode::None;
+  EXPECT_FALSE(parseErrorCode("unavailable", E));
+  Response R;
+  EXPECT_NE(decodeResponse("v2 error code=unavailable msg=x", Version::V2, R),
+            ErrorCode::None);
+  // Every remaining code still round-trips through its wire name.
+  for (ErrorCode Code :
+       {ErrorCode::UnknownCommand, ErrorCode::UnknownPriority,
+        ErrorCode::BadArgument, ErrorCode::NothingToSolve, ErrorCode::Busy,
+        ErrorCode::ServerFull, ErrorCode::LineTooLong, ErrorCode::Malformed,
+        ErrorCode::Oversized, ErrorCode::DuplicateId, ErrorCode::UnknownId}) {
+    ASSERT_TRUE(parseErrorCode(errorCodeName(Code), E)) << errorCodeName(Code);
+    EXPECT_EQ(E, Code);
+  }
+}
+
 TEST(ProtocolResponse, RoundTripV1EveryKind) {
   for (Response::Kind K :
        {Response::Kind::Greeting, Response::Kind::Ok, Response::Kind::Bye,

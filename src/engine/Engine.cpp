@@ -58,7 +58,7 @@ JobPtr Engine::submit(JobRequest R) {
   // Expired queued jobs free their slots before this submission is judged
   // against the high-water mark (and before its queue-wait estimate).
   sweepExpiredQueued();
-  Stats.jobSubmitted();
+  Stats.add(Stat::JobsSubmitted);
   if (Cfg.Observability && !R.Trace)
     R.Trace = Tracing->begin();
   JobPtr J(new SynthJob(std::move(R), Clk));
@@ -88,7 +88,7 @@ JobPtr Engine::submit(JobRequest R) {
     // the Rejected high-water path so clients can distinguish "queue
     // full, retry later" from "this deadline is hopeless at current
     // service times".
-    Stats.jobShedOnArrival();
+    Stats.add(Stat::JobsShedOnArrival);
     {
       MutexLock Guard(J->M);
       J->Result.ShedOnArrival = true;
@@ -103,7 +103,7 @@ JobPtr Engine::submit(JobRequest R) {
     // checks the high-water mark and inserts atomically, so the bound
     // holds under concurrent submitters; the handle completes on the spot
     // so wait() returns (and continuations fire) immediately.
-    Stats.jobRejected();
+    Stats.add(Stat::JobsRejected);
     {
       MutexLock Guard(J->M);
       J->Result.Rejected = true;
@@ -147,7 +147,7 @@ void Engine::fanOut(const JobPtr &J) {
                      J->Req.Pri)) {
       // Pool is shutting down; account the task as skipped so the job
       // still completes.
-      Stats.taskSkipped();
+      Stats.add(Stat::TasksSkipped);
       {
         MutexLock Guard(J->M);
         ++J->Result.TasksSkipped;
@@ -297,9 +297,7 @@ void Engine::expireQueued(const JobPtr &J) {
     // Account every not-yet-accounted task as skipped (tasks dropped at
     // submit because the pool was shutting down are already counted), so
     // TasksRun + TasksSkipped still partitions the sketch list exactly.
-    const uint64_t Unaccounted = NumTasks - J->Result.TasksSkipped;
-    for (uint64_t I = 0; I < Unaccounted; ++I)
-      Stats.taskSkipped();
+    Stats.add(Stat::TasksSkipped, NumTasks - J->Result.TasksSkipped);
     J->Result.TasksSkipped = NumTasks;
     J->Result.ResidencyExpired = true;
     J->Result.TotalMs = J->sinceSubmitMs();
@@ -309,7 +307,7 @@ void Engine::expireQueued(const JobPtr &J) {
   }
   Stats.jobCompleted(Solved, /*DeadlineExpired=*/false,
                      /*ResidencyExpired=*/true);
-  Stats.jobExpiredInQueue();
+  Stats.add(Stat::JobsExpiredInQueue);
   Queue.remove(J.get());
   observeCompletion(J, "expired_in_queue", /*ForceKeepTrace=*/true);
   publishCompletion(J);
@@ -340,7 +338,7 @@ void Engine::runSketchTask(const JobPtr &J, unsigned Rank) {
   if (J->Cancel.load(std::memory_order_relaxed)) {
     // The task never ran a search: whatever set the cancel flag (sibling
     // success, client cancel, deadline, residency SLA) ends it here.
-    Stats.taskSkipped();
+    Stats.add(Stat::TasksSkipped);
     if (obs::TraceContext *T = J->Req.Trace.get())
       T->span("task_skipped", "task", Clk->nowUs(), 0, 1 + Rank);
     MutexLock Guard(J->M);
@@ -403,10 +401,10 @@ void Engine::runSketchTask(const JobPtr &J, unsigned Rank) {
 
     Synthesizer Synth(SC);
     SynthResult SR = Synth.run(Req.Sketches[Rank], Req.E);
-    Stats.taskRan();
+    Stats.add(Stat::TasksRun);
     Stats.addSynth(SR.Stats);
     if (SR.Cancelled)
-      Stats.taskStopped();
+      Stats.add(Stat::TasksStopped);
     if (Observe) {
       const int64_t TaskDurUs = Clk->nowUs() - TaskStartUs;
       TaskExecUs->record(static_cast<uint64_t>(TaskDurUs));
@@ -515,7 +513,7 @@ void Engine::finalize(const JobPtr &J) {
   if (RanSearch)
     Estimator.recordSample(J->Req.Pri, ExecMs);
   Stats.jobCompleted(Solved, DeadlineExpired, ResidencyExpired);
-  Stats.solutionsFound(NumAnswers);
+  Stats.add(Stat::SolutionsFound, NumAnswers);
   Queue.remove(J.get());
   const char *Verdict = Solved              ? "solved"
                         : DeadlineExpired   ? "deadline_expired"
@@ -534,6 +532,8 @@ StatsSnapshot Engine::snapshot() const {
   S.TasksRunInteractive = Pool.tasksRun(Priority::Interactive);
   S.TasksRunBatch = Pool.tasksRun(Priority::Batch);
   S.TasksRunBackground = Pool.tasksRun(Priority::Background);
+  S.WorkerThreads = Pool.threadCount();
+  S.QueueDepth = queueDepth();
   S.ApproxStoreHits = Caches->Approx.hits();
   S.ApproxStoreMisses = Caches->Approx.misses();
   S.ApproxStoreSize = Caches->Approx.size();
@@ -542,18 +542,13 @@ StatsSnapshot Engine::snapshot() const {
   S.SmtStoreMisses = Caches->Smt.misses();
   S.SmtStoreSize = Caches->Smt.size();
   S.SmtStoreEvictions = Caches->Smt.evictions();
-  const ServiceTimeEstimator::Snapshot E = Estimator.snapshot();
-  S.EstimatorInteractiveMs =
-      E.EstMs[static_cast<unsigned>(Priority::Interactive)];
-  S.EstimatorBatchMs = E.EstMs[static_cast<unsigned>(Priority::Batch)];
-  S.EstimatorBackgroundMs =
-      E.EstMs[static_cast<unsigned>(Priority::Background)];
-  S.EstimatorBlendedMs = E.BlendedMs;
-  S.EstimatorSamplesInteractive =
-      E.Samples[static_cast<unsigned>(Priority::Interactive)];
-  S.EstimatorSamplesBatch = E.Samples[static_cast<unsigned>(Priority::Batch)];
-  S.EstimatorSamplesBackground =
-      E.Samples[static_cast<unsigned>(Priority::Background)];
+  S.EstimatorInteractiveMs = Estimator.estimateMs(Priority::Interactive);
+  S.EstimatorBatchMs = Estimator.estimateMs(Priority::Batch);
+  S.EstimatorBackgroundMs = Estimator.estimateMs(Priority::Background);
+  S.EstimatorBlendedMs = Estimator.blendedEstimateMs();
+  S.EstimatorSamplesInteractive = Estimator.samples(Priority::Interactive);
+  S.EstimatorSamplesBatch = Estimator.samples(Priority::Batch);
+  S.EstimatorSamplesBackground = Estimator.samples(Priority::Background);
   return S;
 }
 
@@ -615,74 +610,29 @@ void Engine::observeCompletion(const JobPtr &J, const char *Verdict,
 
 void Engine::mirrorSnapshot() const {
   const StatsSnapshot S = snapshot();
-  obs::Registry &R = *Reg;
-  R.counter("regel_jobs_submitted_total").set(S.JobsSubmitted);
-  R.counter("regel_jobs_completed_total").set(S.JobsCompleted);
-  R.counter("regel_jobs_solved_total").set(S.JobsSolved);
-  R.counter("regel_jobs_rejected_total").set(S.JobsRejected);
-  R.counter("regel_jobs_shed_on_arrival_total").set(S.JobsShedOnArrival);
-  R.counter("regel_jobs_expired_in_queue_total").set(S.JobsExpiredInQueue);
-  R.counter("regel_jobs_deadline_expired_total").set(S.JobsDeadlineExpired);
-  R.counter("regel_jobs_residency_expired_total")
-      .set(S.JobsResidencyExpired);
-  R.counter("regel_tasks_run_total").set(S.TasksRun);
-  R.counter("regel_tasks_skipped_total").set(S.TasksSkipped);
-  R.counter("regel_tasks_stopped_total").set(S.TasksStopped);
-  R.counter("regel_tasks_stolen_total").set(S.TasksStolen);
-  R.counter("regel_pool_tasks_run_total",
-            priLabel(Priority::Interactive))
-      .set(S.TasksRunInteractive);
-  R.counter("regel_pool_tasks_run_total", priLabel(Priority::Batch))
-      .set(S.TasksRunBatch);
-  R.counter("regel_pool_tasks_run_total", priLabel(Priority::Background))
-      .set(S.TasksRunBackground);
-  R.counter("regel_solutions_found_total").set(S.SolutionsFound);
-  R.counter("regel_synth_pops_total").set(S.Pops);
-  R.counter("regel_synth_expansions_total").set(S.Expansions);
-  R.counter("regel_synth_pruned_infeasible_total").set(S.PrunedInfeasible);
-  R.counter("regel_synth_concrete_checked_total").set(S.ConcreteChecked);
-  R.counter("regel_smt_interval_evals_total").set(S.SmtIntervalEvals);
-  R.counter("regel_smt_solves_total").set(S.SmtSolves);
-  R.counter("regel_smt_unsat_short_circuits_total")
-      .set(S.SmtUnsatShortCircuits);
-  R.counter("regel_synth_time_us_total")
-      .set(static_cast<uint64_t>(S.SynthMsTotal * 1000.0));
-  R.counter("regel_approx_store_hits_total").set(S.ApproxStoreHits);
-  R.counter("regel_approx_store_misses_total").set(S.ApproxStoreMisses);
-  R.counter("regel_approx_store_evictions_total")
-      .set(S.ApproxStoreEvictions);
-  R.counter("regel_smt_cache_hits_total").set(S.SmtStoreHits);
-  R.counter("regel_smt_cache_misses_total").set(S.SmtStoreMisses);
-  R.counter("regel_smt_cache_evictions_total").set(S.SmtStoreEvictions);
-  R.gauge("regel_queue_depth_jobs")
-      .set(static_cast<int64_t>(queueDepth()));
-  R.gauge("regel_worker_threads")
-      .set(static_cast<int64_t>(Pool.threadCount()));
-  R.gauge("regel_approx_store_size_entries")
-      .set(static_cast<int64_t>(S.ApproxStoreSize));
-  R.gauge("regel_smt_cache_size_entries")
-      .set(static_cast<int64_t>(S.SmtStoreSize));
-  // Estimator state in integer us (-1 = cold). A SUM of these gauges
-  // across expositions is meaningless — read them per engine.
-  auto EstUs = [](double Ms) {
-    return Ms < 0 ? int64_t(-1) : static_cast<int64_t>(Ms * 1000.0);
-  };
-  R.gauge("regel_estimator_est_us", priLabel(Priority::Interactive))
-      .set(EstUs(S.EstimatorInteractiveMs));
-  R.gauge("regel_estimator_est_us", priLabel(Priority::Batch))
-      .set(EstUs(S.EstimatorBatchMs));
-  R.gauge("regel_estimator_est_us", priLabel(Priority::Background))
-      .set(EstUs(S.EstimatorBackgroundMs));
-  R.gauge("regel_estimator_blended_est_us")
-      .set(EstUs(S.EstimatorBlendedMs));
-  R.counter("regel_estimator_samples_total",
-            priLabel(Priority::Interactive))
-      .set(S.EstimatorSamplesInteractive);
-  R.counter("regel_estimator_samples_total", priLabel(Priority::Batch))
-      .set(S.EstimatorSamplesBatch);
-  R.counter("regel_estimator_samples_total",
-            priLabel(Priority::Background))
-      .set(S.EstimatorSamplesBackground);
+  for (const StatRow &Row : StatRows) {
+    if (!Row.Name)
+      continue;
+    switch (Row.Kind) {
+    case StatKind::Count:
+      Reg->counter(Row.Name, Row.Labels).set(S.*Row.U64);
+      break;
+    case StatKind::Level:
+      Reg->gauge(Row.Name, Row.Labels).set(static_cast<int64_t>(S.*Row.U64));
+      break;
+    case StatKind::MsTotal:
+      Reg->counter(Row.Name, Row.Labels)
+          .set(static_cast<uint64_t>(S.*Row.Ms * 1000.0));
+      break;
+    case StatKind::MsEstimate:
+      // -1 = cold. A SUM of these gauges across expositions is
+      // meaningless — read them per engine.
+      Reg->gauge(Row.Name, Row.Labels)
+          .set(S.*Row.Ms < 0 ? int64_t(-1)
+                             : static_cast<int64_t>(S.*Row.Ms * 1000.0));
+      break;
+    }
+  }
 }
 
 std::string Engine::metricsText() const {

@@ -244,8 +244,8 @@ private:
   void observeCompletion(const JobPtr &J, const char *Verdict,
                          bool ForceKeepTrace);
 
-  /// Copies the current StatsSnapshot into registry counters/gauges
-  /// (called by metricsText so the exposition is point-in-time fresh).
+  /// Copies the current StatsSnapshot into the registry, one series per
+  /// exposed table row (called by metricsText, so it is point-in-time).
   void mirrorSnapshot() const;
 
   EngineConfig Cfg;

@@ -42,14 +42,3 @@ uint64_t ServiceTimeEstimator::samples(Priority P) const {
   MutexLock Guard(M);
   return ByClass[static_cast<unsigned>(P)].N;
 }
-
-ServiceTimeEstimator::Snapshot ServiceTimeEstimator::snapshot() const {
-  MutexLock Guard(M);
-  Snapshot S;
-  for (unsigned I = 0; I < NumPriorities; ++I) {
-    S.EstMs[I] = ByClass[I].N == 0 ? -1.0 : ByClass[I].Ewma;
-    S.Samples[I] = ByClass[I].N;
-  }
-  S.BlendedMs = Blended.N == 0 ? -1.0 : Blended.Ewma;
-  return S;
-}

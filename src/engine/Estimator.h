@@ -59,13 +59,6 @@ public:
   /// Samples recorded so far for class \p P.
   uint64_t samples(Priority P) const;
 
-  struct Snapshot {
-    double EstMs[NumPriorities];    ///< negative = cold
-    uint64_t Samples[NumPriorities];
-    double BlendedMs;               ///< negative = cold
-  };
-  Snapshot snapshot() const;
-
 private:
   struct Cell {
     double Ewma = 0;

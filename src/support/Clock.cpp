@@ -28,6 +28,47 @@ bool SteadyClock::waitFor(std::condition_variable &CV,
                      Pred);
 }
 
+namespace {
+/// The calling thread's process-wide reader number, never 0.
+uint64_t readerNumber() {
+  static std::atomic<uint64_t> Next{1};
+  thread_local const uint64_t Number =
+      Next.fetch_add(1, std::memory_order_relaxed);
+  return Number;
+}
+} // namespace
+
+int64_t ManualClock::nowUs() const {
+  // Epoch before Now: advanceUs bumps them in the opposite order, so a read
+  // recorded under the current epoch returns the advanced time.
+  const uint64_t E = Epoch.load(std::memory_order_acquire);
+  const uint64_t Self = readerNumber();
+  for (ReaderSlot &Slot : Readers) {
+    uint64_t Reader = 0; // a free slot becomes ours
+    if (Slot.Reader.compare_exchange_strong(Reader, Self,
+                                            std::memory_order_relaxed) ||
+        Reader == Self) {
+      Slot.Epoch.store(E, std::memory_order_relaxed);
+      break;
+    }
+  }
+  return Now.load(std::memory_order_acquire);
+}
+
+unsigned ManualClock::readersSinceAdvance() const {
+  const uint64_t Self = readerNumber();
+  const uint64_t E = Epoch.load(std::memory_order_relaxed);
+  unsigned Count = 0;
+  for (const ReaderSlot &Slot : Readers) {
+    const uint64_t Reader = Slot.Reader.load(std::memory_order_relaxed);
+    if (Reader == 0)
+      break;
+    if (Reader != Self && Slot.Epoch.load(std::memory_order_relaxed) == E)
+      ++Count;
+  }
+  return Count;
+}
+
 bool ManualClock::waitFor(std::condition_variable &CV,
                           std::unique_lock<std::mutex> &Lock,
                           int64_t TimeoutMs,

@@ -26,6 +26,7 @@
 #ifndef REGEL_SUPPORT_CLOCK_H
 #define REGEL_SUPPORT_CLOCK_H
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -79,13 +80,17 @@ public:
 /// clock and the (caller-owned) condition variable. The *outcome* — timed
 /// out or predicate satisfied — depends only on virtual time and the
 /// predicate, which is what makes tests deterministic.
+///
+/// The clock also notes which threads read it since the last advance, so
+/// a test that pumps time while workers run can pace itself on their
+/// progress (readersSinceAdvance) instead of outrunning a worker that is
+/// between two deadline polls. The bookkeeping is relaxed, so the clock
+/// orders no two readers and ThreadSanitizer still sees races between them.
 class ManualClock : public Clock {
 public:
   explicit ManualClock(int64_t StartUs = 0) : Now(StartUs) {}
 
-  int64_t nowUs() const override {
-    return Now.load(std::memory_order_acquire);
-  }
+  int64_t nowUs() const override;
 
   bool waitFor(std::condition_variable &CV, std::unique_lock<std::mutex> &Lock,
                int64_t TimeoutMs,
@@ -93,11 +98,26 @@ public:
 
   void advanceUs(int64_t Us) {
     Now.fetch_add(Us, std::memory_order_acq_rel);
+    Epoch.fetch_add(1, std::memory_order_release);
   }
   void advanceMs(int64_t Ms) { advanceUs(Ms * 1000); }
 
+  /// Distinct threads, the caller excluded, that read the clock since the
+  /// last advance (so every such read returned the advanced time). Only
+  /// the first 64 threads that ever read the clock are counted.
+  unsigned readersSinceAdvance() const;
+
 private:
+  /// A reading thread (its process-wide number, 0 = free) and the epoch of
+  /// its latest read. Slots are taken in order and never freed.
+  struct ReaderSlot {
+    std::atomic<uint64_t> Reader{0};
+    std::atomic<uint64_t> Epoch{0};
+  };
+
   std::atomic<int64_t> Now;
+  std::atomic<uint64_t> Epoch{0}; ///< advances so far
+  mutable std::array<ReaderSlot, 64> Readers;
 };
 
 } // namespace regel

@@ -245,7 +245,6 @@ SynthResult Synthesizer::run(const SketchPtr &S, const Examples &E) {
       Result.Stats.SmtSolves += IS.SmtSolves;
       Result.Stats.SmtCacheHits += IS.SmtCacheHits;
       Result.Stats.SmtUnsatShortCircuits += IS.UnsatShortCircuits;
-      Result.Stats.InferIterations += IS.Iterations;
       for (RegexPtr &R : Concrete) {
         recordIfSolution(std::move(R));
         if (Done)

@@ -20,24 +20,24 @@
 
 namespace regel {
 
+/// The counters of one synthesis run that the engine sums, one row each.
+/// SMT accounting is split by what actually ran (see InferStats): interval
+/// sweeps are the cheap per-node pruning oracle, solves are
+/// smt::satisfiable searches, cache hits are satisfiability checks
+/// answered by the shared verdict store without a search. The engine sums
+/// every run into the row of the same name in its counter table
+/// (engine/Stats.h).
+#define REGEL_SYNTH_COUNTERS(X)                                                \
+  X(Pops) X(Expansions) X(PrunedInfeasible) X(ConcreteChecked)                 \
+  X(SmtIntervalEvals) X(SmtSolves) X(SmtCacheHits) X(SmtUnsatShortCircuits)
+
 /// Counters for one synthesis run (reported by benches and tests).
 struct SynthStats {
-  uint64_t Pops = 0;
-  uint64_t Expansions = 0;
-  uint64_t PrunedInfeasible = 0;
-  uint64_t ConcreteChecked = 0;
-  uint64_t SubsumptionSkips = 0;
+#define REGEL_SYNTH_FIELD(Field) uint64_t Field = 0;
+  REGEL_SYNTH_COUNTERS(REGEL_SYNTH_FIELD)
+#undef REGEL_SYNTH_FIELD
 
-  // SMT accounting, split by what actually ran (see InferStats):
-  // interval sweeps are the cheap per-node pruning oracle, solves are
-  // smt::satisfiable searches, cache hits are satisfiability checks
-  // answered by the shared verdict store without a search.
-  uint64_t SmtIntervalEvals = 0;
-  uint64_t SmtSolves = 0;
-  uint64_t SmtCacheHits = 0;
-  uint64_t SmtUnsatShortCircuits = 0;
-  uint64_t InferIterations = 0;
-
+  uint64_t SubsumptionSkips = 0; ///< per run only; not an engine row
   double TimeMs = 0;
 };
 

@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -242,27 +243,41 @@ TEST(Observability, MetricsTextCarriesCountersAndHistogramSeries) {
             obs::Histogram::bucketUpperUs(obs::Histogram::bucketFor(25000)));
 }
 
-TEST(Observability, EveryHistogramIsCataloguedInTheDocs) {
+TEST(Observability, EveryMetricIsCataloguedInTheDocs) {
   // The catalog in docs/OBSERVABILITY.md is checked, not hand-synced:
-  // every histogram series the engine registers must have its row.
+  // every metric the exposition declares (`# TYPE <name> <type>`) must
+  // have its own row `| `<name>` | <type> |`, and every row must name a
+  // metric the engine exposes, so deleting a row or leaving a retired
+  // series behind both fail.
   std::ifstream In(std::string(REGEL_SOURCE_DIR) + "/docs/OBSERVABILITY.md");
   ASSERT_TRUE(In.good());
-  std::stringstream Doc;
-  Doc << In.rdbuf();
+  std::set<std::string> Rows; // "<name> <type>" of each catalog row
+  std::string Line;
+  const std::string RowStart = "| `regel_";
+  while (std::getline(In, Line)) {
+    if (Line.rfind(RowStart, 0) != 0)
+      continue;
+    const size_t NameEnd = Line.find("` | ", 3);
+    ASSERT_NE(NameEnd, std::string::npos) << Line;
+    const size_t TypeEnd = Line.find(" |", NameEnd + 4);
+    ASSERT_NE(TypeEnd, std::string::npos) << Line;
+    Rows.insert(Line.substr(3, NameEnd - 3) + " " +
+                Line.substr(NameEnd + 4, TypeEnd - NameEnd - 4));
+  }
+
   Engine Eng(EngineConfig{0, 4, nullptr});
   std::istringstream Text(Eng.metricsText());
-  std::string Line;
-  unsigned Histograms = 0;
-  while (std::getline(Text, Line)) {
-    const std::string Type = "# TYPE ", Kind = " histogram";
-    if (Line.rfind(Type, 0) != 0 || Line.size() < Kind.size() ||
-        Line.compare(Line.size() - Kind.size(), Kind.size(), Kind) != 0)
-      continue;
-    ++Histograms;
-    const std::string Name =
-        Line.substr(Type.size(), Line.size() - Type.size() - Kind.size());
-    EXPECT_NE(Doc.str().find("`" + Name + "`"), std::string::npos)
-        << Name << " is missing from docs/OBSERVABILITY.md";
-  }
-  EXPECT_GE(Histograms, 7u);
+  std::set<std::string> Declared;
+  const std::string Type = "# TYPE ";
+  while (std::getline(Text, Line))
+    if (Line.rfind(Type, 0) == 0)
+      Declared.insert(Line.substr(Type.size()));
+  for (const std::string &D : Declared)
+    EXPECT_EQ(Rows.count(D), 1u)
+        << D << " has no catalog row in docs/OBSERVABILITY.md";
+  for (const std::string &R : Rows)
+    EXPECT_EQ(Declared.count(R), 1u)
+        << "docs/OBSERVABILITY.md catalogs " << R
+        << ", which the engine does not expose";
+  EXPECT_GE(Declared.size(), 40u);
 }

@@ -15,7 +15,11 @@
 //      and the per-result tallies match the engine counters one for one.
 //
 // The submission schedule is fixed by the seed; assertions are invariants
-// rather than golden outputs, so worker/pump interleaving cannot flake.
+// rather than golden outputs. The pump never outruns the workers: after
+// each advance it waits until every executing worker has read the clock
+// at the new time, so a search sees each tick at its next clock read and
+// invariant 1 measures the SLA clamp, not the pump's speed relative to a
+// worker between two deadline polls.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +32,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -40,6 +45,7 @@ namespace {
 constexpr int64_t MaxTickMs = 30;   ///< largest single clock advance
 constexpr double SlopMs = 500.0;    ///< schedule slack on invariant 1
 constexpr int64_t ChurnBudgetMs = 2000; ///< >> any SLA + slop (see header)
+constexpr double PaceCapMs = 2000.0; ///< real-time bound on one pacing wait
 
 Priority randomPriority(Rng &R) {
   switch (R.nextBelow(3)) {
@@ -73,6 +79,28 @@ TEST(ShedStress, InvariantsHoldUnderRandomMixedLoad) {
   std::vector<Submitted> Jobs;
   const size_t N = 200;
   Jobs.reserve(N);
+  auto Unfinished = [&] {
+    size_t Open = 0;
+    for (const Submitted &S : Jobs)
+      if (!S.J->done())
+        ++Open;
+    return Open;
+  };
+  // One pump step: advance, sweep like the event loop's timer, then wait
+  // until the workers caught up. The pool is work-conserving, so
+  // min(Threads, unfinished jobs) workers are executing, and each must
+  // read the clock (a deadline poll, a task start, a completion) before
+  // time moves again. The real-time cap only keeps a wedged engine from
+  // hanging the test.
+  auto Tick = [&](int64_t Ms) {
+    MC->advanceMs(Ms);
+    Eng.sweepExpiredQueued();
+    Stopwatch Real;
+    while (MC->readersSinceAdvance() <
+               std::min<size_t>(EC.Threads, Unfinished()) &&
+           Real.elapsedMs() < PaceCapMs)
+      std::this_thread::yield();
+  };
 
   for (size_t I = 0; I < N; ++I) {
     JobRequest Req;
@@ -98,23 +126,14 @@ TEST(ShedStress, InvariantsHoldUnderRandomMixedLoad) {
                             : 10 + static_cast<int64_t>(R.nextBelow(200));
     Req.ResidencyBudgetMs = Sla;
     Jobs.push_back({Eng.submit(std::move(Req)), Sla});
-
-    MC->advanceMs(static_cast<int64_t>(R.nextBelow(static_cast<uint64_t>(MaxTickMs) + 1)));
-    Eng.sweepExpiredQueued(); // the event loop's timer-driven sweep
-    std::this_thread::yield();
+    Tick(static_cast<int64_t>(
+        R.nextBelow(static_cast<uint64_t>(MaxTickMs) + 1)));
   }
 
   // Drain: pump virtual time until every job has a verdict.
   Stopwatch RealCap;
-  for (size_t Done = 0; Done < Jobs.size() && RealCap.elapsedMs() < 60000;) {
-    MC->advanceMs(20);
-    Eng.sweepExpiredQueued();
-    std::this_thread::yield();
-    Done = 0;
-    for (const Submitted &S : Jobs)
-      if (S.J->done())
-        ++Done;
-  }
+  while (Unfinished() > 0 && RealCap.elapsedMs() < 60000)
+    Tick(20);
 
   uint64_t Shed = 0, Rejected = 0, Completed = 0, Ran = 0, Expired = 0;
   for (size_t I = 0; I < Jobs.size(); ++I) {

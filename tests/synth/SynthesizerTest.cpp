@@ -184,15 +184,27 @@ TEST(Synthesizer, ApproxPrunesMoreThanEnum) {
 TEST(Synthesizer, SubsumptionSkipsQueries) {
   // Contains(<num>) fails the positives, so the later StartsWith(<num>) /
   // EndsWith(<num>) candidates must be skipped without membership queries.
+  // A skip is only sound if the skipped candidate would have failed too:
+  // under a pop cap the answers, in order, match a run that queries every
+  // candidate.
   Examples E;
   E.Pos = {"xy", "qt"};
   E.Neg = {"x"};
   SynthConfig Cfg;
-  Cfg.BudgetMs = 4000;
+  Cfg.MaxPops = 400;
   Cfg.TopK = 12; // keep searching after the first solutions
-  Synthesizer Engine(Cfg);
-  SynthResult R = Engine.run(Sketch::unconstrained(), E);
-  EXPECT_GT(R.Stats.SubsumptionSkips, 0u);
+  SynthConfig NoSkip = Cfg;
+  NoSkip.UseSubsumption = false;
+  Synthesizer Skipping(Cfg), Querying(NoSkip);
+  SynthResult RS = Skipping.run(Sketch::unconstrained(), E);
+  SynthResult RQ = Querying.run(Sketch::unconstrained(), E);
+  ASSERT_TRUE(RS.solved());
+  EXPECT_GT(RS.Stats.SubsumptionSkips, 0u);
+  EXPECT_EQ(RQ.Stats.SubsumptionSkips, 0u);
+  ASSERT_EQ(RS.Solutions.size(), RQ.Solutions.size());
+  for (size_t I = 0; I < RS.Solutions.size(); ++I)
+    EXPECT_EQ(printRegex(RS.Solutions[I]), printRegex(RQ.Solutions[I])) << I;
+  EXPECT_EQ(RS.Stats.Pops, RQ.Stats.Pops);
 }
 
 TEST(Synthesizer, Section2EndToEnd) {

@@ -31,8 +31,9 @@
 //   REGEL_SHED_EXEC_MS       per-job execution cost (default 80)
 //   REGEL_SHED_SLA_MS        per-job residency SLA (default 250)
 //   REGEL_SHED_INTERVAL_MS   arrival pacing (default 2)
-//   REGEL_OBS_JOBS           obs-overhead-section jobs (default 2000,
-//                            0 skips)
+//   REGEL_OBS_JOBS           obs-overhead jobs per run (default 30000,
+//                            0 skips); the section runs ObsPairs
+//                            alternating on/off pairs of runs
 //   REGEL_SMT_CACHE          0 skips the smt_cache_on_vs_off section
 //                            (default 1)
 //
@@ -280,7 +281,10 @@ OverloadReport runOverloadMode(bool Shedding, unsigned Threads, size_t Jobs,
   return Rep;
 }
 
-/// Jobs/sec over a stream of trivial concrete-sketch jobs with the
+/// Jobs the observability-overhead stream keeps in flight at most.
+constexpr size_t ObsWaveJobs = 2000;
+
+/// Wall ms of a stream of trivial concrete-sketch jobs with the
 /// observability layer (span tracing + registry histograms) on or off.
 /// Trivial jobs put instrumentation at its maximum relative cost — real
 /// synthesis work amortizes it much further — so this is the worst-case
@@ -296,20 +300,41 @@ double runObsMode(bool Observability, unsigned Threads, size_t Jobs) {
   E.Pos = {"A12", "Z99"};
   E.Neg = {"12", "a12"};
 
+  // Waves of ObsWaveJobs: with every job of a long run in flight at
+  // once, single runs varied about fourfold on either side; bounding the
+  // live jobs keeps the run about the per-job cost.
   Stopwatch Wall;
   std::vector<engine::JobPtr> Handles;
-  Handles.reserve(Jobs);
-  for (size_t I = 0; I < Jobs; ++I) {
-    engine::JobRequest R;
-    R.Sketches = {Sketch::concrete(Probe)};
-    R.E = E;
-    R.BudgetMs = 10000;
-    Handles.push_back(Eng.submit(std::move(R)));
+  Handles.reserve(std::min(Jobs, ObsWaveJobs));
+  for (size_t Done = 0; Done < Jobs; Done += Handles.size()) {
+    Handles.clear();
+    for (size_t I = Done; I < std::min(Jobs, Done + ObsWaveJobs); ++I) {
+      engine::JobRequest R;
+      R.Sketches = {Sketch::concrete(Probe)};
+      R.E = E;
+      R.BudgetMs = 10000;
+      Handles.push_back(Eng.submit(std::move(R)));
+    }
+    for (const engine::JobPtr &J : Handles)
+      J->wait();
   }
-  for (const engine::JobPtr &J : Handles)
-    J->wait();
-  const double WallMs = Wall.elapsedMs();
-  return WallMs > 0 ? static_cast<double>(Jobs) * 1000.0 / WallMs : 0;
+  return Wall.elapsedMs();
+}
+
+/// On/off run pairs in the observability-overhead section. One pair is
+/// too noisy to resolve a few-percent overhead on a shared host; the
+/// median and quartiles over this many pairs are the reported figures.
+constexpr unsigned ObsPairs = 11;
+
+/// The q-quantile (0..1) of \p V, linearly interpolated between ranks.
+double quantile(std::vector<double> V, double Q) {
+  if (V.empty())
+    return 0;
+  std::sort(V.begin(), V.end());
+  const double Pos = Q * static_cast<double>(V.size() - 1);
+  const size_t Lo = static_cast<size_t>(Pos);
+  const size_t Hi = std::min(Lo + 1, V.size() - 1);
+  return V[Lo] + (V[Hi] - V[Lo]) * (Pos - static_cast<double>(Lo));
 }
 
 struct PassReport {
@@ -663,25 +688,60 @@ int main() {
   }
   // Observability overhead: the same trivial job stream with the metrics
   // registry + span tracing enabled vs compiled in but switched off.
-  const size_t ObsJobs = static_cast<size_t>(envInt("REGEL_OBS_JOBS", 2000));
+  // Runs alternate sides, and each pair's first side alternates too, so
+  // host drift lands on both sides alike.
+  const size_t ObsJobs = static_cast<size_t>(envInt("REGEL_OBS_JOBS", 30000));
   if (ObsJobs > 0) {
-    std::printf("observability overhead: %zu trivial jobs on %u workers, "
-                "instrumentation on vs off...\n",
-                ObsJobs, Threads);
-    const double OffJps = runObsMode(/*Observability=*/false, Threads, ObsJobs);
-    const double OnJps = runObsMode(/*Observability=*/true, Threads, ObsJobs);
-    const double OverheadPct =
-        OffJps > 0 ? (OffJps - OnJps) / OffJps * 100.0 : 0;
-    std::printf("  on %.0f jobs/sec, off %.0f jobs/sec, overhead %.1f%%\n",
-                OnJps, OffJps, OverheadPct);
-    std::snprintf(Buf, sizeof(Buf),
-                  ",\n  \"obs_overhead\": {\n    \"jobs\": %zu,\n"
-                  "    \"threads\": %u,\n"
-                  "    \"jobs_per_sec_on\": %.1f,\n"
-                  "    \"jobs_per_sec_off\": %.1f,\n"
-                  "    \"overhead_pct\": %.2f\n  }",
-                  ObsJobs, Threads, OnJps, OffJps, OverheadPct);
-    Json += Buf;
+    std::printf("observability overhead: %u pairs of %zu trivial jobs on %u "
+                "workers, instrumentation on vs off...\n",
+                ObsPairs, ObsJobs, Threads);
+    std::vector<double> OnJps, OffJps, OverheadPct;
+    double MinRunMs = 0;
+    for (unsigned P = 0; P < ObsPairs; ++P) {
+      double OnMs = 0, OffMs = 0;
+      for (bool Observability : {P % 2 == 1, P % 2 == 0})
+        (Observability ? OnMs : OffMs) =
+            runObsMode(Observability, Threads, ObsJobs);
+      const double On = static_cast<double>(ObsJobs) * 1000.0 / OnMs;
+      const double Off = static_cast<double>(ObsJobs) * 1000.0 / OffMs;
+      OnJps.push_back(On);
+      OffJps.push_back(Off);
+      OverheadPct.push_back(Off > 0 ? (Off - On) / Off * 100.0 : 0);
+      std::printf("  pair %u: on %.0f (%.0f ms), off %.0f (%.0f ms) jobs/sec, "
+                  "overhead %.1f%%\n",
+                  P, On, OnMs, Off, OffMs, OverheadPct.back());
+      const double PairMin = std::min(OnMs, OffMs);
+      MinRunMs = P == 0 ? PairMin : std::min(MinRunMs, PairMin);
+    }
+    std::printf("  median [q1, q3]: on %.0f [%.0f, %.0f] jobs/sec, off %.0f "
+                "[%.0f, %.0f] jobs/sec, overhead %.1f%% [%.1f, %.1f]; "
+                "shortest run %.0f ms\n",
+                quantile(OnJps, 0.5), quantile(OnJps, 0.25),
+                quantile(OnJps, 0.75), quantile(OffJps, 0.5),
+                quantile(OffJps, 0.25), quantile(OffJps, 0.75),
+                quantile(OverheadPct, 0.5), quantile(OverheadPct, 0.25),
+                quantile(OverheadPct, 0.75), MinRunMs);
+    char ObsBuf[1024];
+    std::snprintf(
+        ObsBuf, sizeof(ObsBuf),
+        ",\n  \"obs_overhead\": {\n    \"jobs\": %zu,\n"
+        "    \"threads\": %u,\n    \"pairs\": %u,\n"
+        "    \"min_run_ms\": %.1f,\n"
+        "    \"jobs_per_sec_on\": %.1f,\n"
+        "    \"jobs_per_sec_on_q1\": %.1f,\n"
+        "    \"jobs_per_sec_on_q3\": %.1f,\n"
+        "    \"jobs_per_sec_off\": %.1f,\n"
+        "    \"jobs_per_sec_off_q1\": %.1f,\n"
+        "    \"jobs_per_sec_off_q3\": %.1f,\n"
+        "    \"overhead_pct\": %.2f,\n"
+        "    \"overhead_pct_q1\": %.2f,\n"
+        "    \"overhead_pct_q3\": %.2f\n  }",
+        ObsJobs, Threads, ObsPairs, MinRunMs, quantile(OnJps, 0.5),
+        quantile(OnJps, 0.25), quantile(OnJps, 0.75), quantile(OffJps, 0.5),
+        quantile(OffJps, 0.25), quantile(OffJps, 0.75),
+        quantile(OverheadPct, 0.5), quantile(OverheadPct, 0.25),
+        quantile(OverheadPct, 0.75));
+    Json += ObsBuf;
   }
   Json += "\n}\n";
 

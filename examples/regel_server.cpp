@@ -9,39 +9,33 @@
 // 0 = ephemeral — the chosen port is printed), while a persistent
 // engine::Engine runs the synthesis jobs, so worker threads and the
 // cross-run caches (sketch approximations, SMT verdicts) stay warm between
-// queries. No thread blocks per outstanding job: `solve` submits and the
-// completion is pushed to the client when it lands, so thousands of
+// queries. No thread blocks per outstanding job: a `v2 submit` frame
+// queues its job and the completion is pushed to the client when it lands, so thousands of
 // concurrent queries need only the loop thread plus the worker pool.
 //
 // The caches are capped (second-chance-evicted; [cache-cap] entries each,
 // default 25000, 0 = unbounded) so the process can stay up indefinitely,
 // and submissions are shed once [high-water] jobs are in flight (default
 // 64, 0 = off). With [shed] (default 1), admission is also
-// deadline-aware: a query whose `sla` cannot be met at current service
+// deadline-aware: a query whose `sla=` cannot be met at current service
 // times gets an instant "shed" verdict instead of expiring in queue, and
-// queued jobs expire the moment their SLA lapses. Per-connection
-// `priority <interactive|batch|background>` picks the scheduling class,
-// so one client's batch fan-out cannot starve another's interactive
-// query.
+// queued jobs expire the moment their SLA lapses. A submit's
+// `pri=<interactive|batch|background>` picks the scheduling class, so one
+// client's batch fan-out cannot starve another's interactive query.
 //
 // With [metrics-every] N > 0 (default 0 = off) the full Prometheus-style
 // metrics exposition is dumped to stdout every N seconds — a poor man's
-// scraper for deployments without one. Clients on protocol v2 can fetch
-// the same text on demand with a `v2 metrics` frame (and a span trace
-// with `v2 trace id=N`); v1 clients see no new frames — the v1 wire
-// format stays byte-frozen and a v1 "metrics" line is an ordinary
-// unknown-command error.
+// scraper for deployments without one. Clients can fetch the same text
+// on demand with a `v2 metrics` frame (and a span trace with
+// `v2 trace id=N`).
 //
-// Try it:
+// Try it (one line per request; values are percent-escaped):
 //   ./build/examples/regel_server &
 //   nc 127.0.0.1 7411
-//   desc a capital letter followed by 2 digits
-//   pos A12
-//   pos Z99
-//   neg 12
-//   solve
+//   v2 submit id=1 desc=a%20capital%20letter%20followed%20by%202%20digits pos=A12 pos=Z99 neg=12
 //
-// See src/server/SocketServer.h for the full wire protocol.
+// For one-off queries from a shell, examples/regel_cli runs the same
+// pipeline without a server. See docs/PROTOCOL.md for the wire protocol.
 //
 //===----------------------------------------------------------------------===//
 

@@ -25,7 +25,6 @@ using namespace regel::server;
 using regel::protocol::ErrorCode;
 using regel::protocol::Request;
 using regel::protocol::Response;
-using regel::protocol::Version;
 
 namespace {
 
@@ -229,9 +228,8 @@ void SocketServer::run() {
       acceptClients();
 
     // Replies are queued per frame and sent once per connection per
-    // phase: completions and greetings here, before this turn's reads
-    // (which may parse for a while), and each connection's own replies
-    // right after its input is handled. A send per frame would put each
+    // phase: completions here, before this turn's reads, and each
+    // connection's own replies right after its input is handled. A send per frame would put each
     // frame in its own segment under TCP_NODELAY. This pass also drains
     // what an earlier turn's short send left behind.
     for (auto &KV : Connections)
@@ -252,7 +250,7 @@ void SocketServer::run() {
       }
     }
 
-    // Deferred closes: dead sockets, and quit/EOF/overflow connections
+    // Deferred closes: dead sockets, and EOF/overflow connections
     // whose goodbye bytes are out and whose completions have all landed.
     std::vector<uint64_t> ToClose;
     for (auto &KV : Connections)
@@ -294,7 +292,7 @@ void SocketServer::acceptClients() {
     if (Cfg.MaxConnections && Connections.size() >= Cfg.MaxConnections) {
       std::string Msg =
           protocol::encodeResponse(errorResponse(ErrorCode::ServerFull),
-                                   Version::V1) +
+                                   protocol::Version::V2) +
           "\n";
       (void)::send(Fd, Msg.data(), Msg.size(), MSG_NOSIGNAL);
       ::close(Fd);
@@ -303,13 +301,9 @@ void SocketServer::acceptClients() {
     Connection C;
     C.Fd = Fd;
     C.Id = NextConnId++;
-    C.Cfg = Cfg.Defaults;
-    uint64_t Id = C.Id;
-    auto Inserted = Connections.emplace(Id, std::move(C));
+    const uint64_t Id = C.Id;
+    Connections.emplace(Id, std::move(C));
     NumConnections.store(Connections.size(), std::memory_order_relaxed);
-    Response Hello;
-    Hello.K = Response::Kind::Greeting;
-    respond(Inserted.first->second, Hello, Version::V1);
   }
 }
 
@@ -352,15 +346,13 @@ void SocketServer::readClient(Connection &C) {
       C.In.clear();
       C.In.shrink_to_fit();
       cancelInFlight(C);
-      respond(C, errorResponse(ErrorCode::LineTooLong), Version::V1);
+      respond(C, errorResponse(ErrorCode::LineTooLong));
       return;
     }
   }
   // Consume complete lines; a trailing partial line stays buffered. An
   // EOF above pre-set CloseAfterFlush, and those already-received lines
-  // must still run — only an explicit quit (QuitSeen, set by handleLine,
-  // distinct from the EOF close reason) discards the rest of the input,
-  // even when the quit and the EOF arrive in the same read burst.
+  // must still run.
   size_t Start = 0;
   for (;;) {
     size_t Nl = C.In.find('\n', Start);
@@ -373,11 +365,6 @@ void SocketServer::readClient(Connection &C) {
     handleLine(C, Line);
     if (C.Dead)
       break;
-    if (C.QuitSeen) {
-      C.DiscardInput = true;
-      Start = C.In.size();
-      break;
-    }
   }
   C.In.erase(0, Start);
 }
@@ -385,143 +372,13 @@ void SocketServer::readClient(Connection &C) {
 void SocketServer::handleLine(Connection &C, const std::string &Line) {
   Request Req;
   const ErrorCode Err = protocol::decodeRequest(Line, Req);
-  if (Req.V == Version::V2)
-    handleV2(C, Req, Err);
-  else
-    handleV1(C, Req, Err);
-}
-
-void SocketServer::handleV1(Connection &C, const Request &Req,
-                            ErrorCode Err) {
-  if (Err != ErrorCode::None) {
-    // The codec hands back the offending token (command name / priority
-    // text) so the historical free-text errors stay byte-identical.
-    respond(C, errorResponse(Err, Req.Text), Version::V1);
-    return;
-  }
-  Response Ok;
-  Ok.K = Response::Kind::Ok;
-  switch (Req.K) {
-  case Request::Kind::None:
-    return;
-  case Request::Kind::Quit: {
-    C.QuitSeen = true;
-    C.CloseAfterFlush = true;
-    Response Bye;
-    Bye.K = Response::Kind::Bye;
-    respond(C, Bye, Version::V1);
-    return;
-  }
-  case Request::Kind::Help: {
-    Response Help;
-    Help.K = Response::Kind::Help;
-    respond(C, Help, Version::V1);
-    return;
-  }
-  case Request::Kind::Desc:
-    C.Description = Req.Text;
-    respond(C, Ok, Version::V1);
-    return;
-  case Request::Kind::Pos:
-    C.E.Pos.push_back(Req.Text);
-    respond(C, Ok, Version::V1);
-    return;
-  case Request::Kind::Neg:
-    C.E.Neg.push_back(Req.Text);
-    respond(C, Ok, Version::V1);
-    return;
-  case Request::Kind::TopK:
-    C.Cfg.TopK = static_cast<unsigned>(
-        std::max<int64_t>(1, Req.Int));
-    respond(C, Ok, Version::V1);
-    return;
-  case Request::Kind::Budget:
-    C.Cfg.BudgetMs = std::max<int64_t>(1, Req.Int);
-    respond(C, Ok, Version::V1);
-    return;
-  case Request::Kind::Sla:
-    C.Cfg.ResidencyBudgetMs = std::max<int64_t>(0, Req.Int);
-    respond(C, Ok, Version::V1);
-    return;
-  case Request::Kind::Priority:
-    C.Cfg.Pri = Req.Pri;
-    respond(C, Ok, Version::V1);
-    return;
-  case Request::Kind::Clear:
-    C.Description.clear();
-    C.E = Examples();
-    respond(C, Ok, Version::V1);
-    return;
-  case Request::Kind::Stats: {
-    Response R;
-    R.K = Response::Kind::Stats;
-    R.Detail = Svc->statsJson();
-    respond(C, R, Version::V1);
-    return;
-  }
-  case Request::Kind::Solve:
-    submitSolve(C);
-    return;
-  case Request::Kind::Submit:
-  case Request::Kind::Cancel:
-  case Request::Kind::Health:
-  case Request::Kind::Metrics:
-  case Request::Kind::Trace:
-    // Unreachable: the decoder only produces these for v2 frames. (A v1
-    // "metrics" line is an UnknownCommand error upstream — v1 stays
-    // byte-frozen; telemetry is v2-only.)
-    respond(C, errorResponse(ErrorCode::UnknownCommand, ""), Version::V1);
-    return;
-  }
-}
-
-void SocketServer::trackTicket(Connection &C, service::Ticket T,
-                               uint64_t WireId, Version V) {
-  Pending[T] = {C.Id, WireId, V};
-  C.InFlight.push_back(T);
-}
-
-void SocketServer::submitSolve(Connection &C) {
-  if (C.E.Pos.empty() && C.Description.empty()) {
-    respond(C, errorResponse(ErrorCode::NothingToSolve), Version::V1);
-    return;
-  }
-  if (Cfg.MaxInflightPerConn &&
-      C.InFlight.size() >= Cfg.MaxInflightPerConn) {
-    // The per-connection cap: this client already holds its share of the
-    // engine's queue slots; finish (or read) something first. Answered
-    // inline so the client learns immediately, without burning a slot.
-    respond(C, errorResponse(ErrorCode::Busy), Version::V1);
-    return;
-  }
-  const uint64_t JobId = NextJobId++;
-
-  // The ticket carries the description; the job's first engine task
-  // parses it on a worker (a parse can take seconds), and the pipeline is
-  // the Regel driver's own, so wire queries search exactly the sketch
-  // lists API queries do.
-  service::Ticket T =
-      Svc->submit(buildJobRequest(C.Cfg, Parser, C.Description, C.E));
-  trackTicket(C, T, JobId, Version::V1);
-
-  Response R;
-  R.K = Response::Kind::Queued;
-  R.Id = JobId;
-  respond(C, R, Version::V1);
-  // The job may already be complete (e.g. rejected by admission
-  // control): its completion is drained on the next loop turn either way
-  // — the service wakeup byte guarantees one.
-}
-
-void SocketServer::handleV2(Connection &C, const Request &Req,
-                            ErrorCode Err) {
   if (Err != ErrorCode::None) {
     // Echo whatever id the decoder recovered (it parses id before the
     // failing field in well-formed-prefix frames), so a machine client
     // fails exactly that ticket instead of hanging it.
     Response R = errorResponse(Err, Req.Text);
     R.Id = Req.Id;
-    respond(C, R, Version::V2);
+    respond(C, R);
     return;
   }
   switch (Req.K) {
@@ -531,25 +388,24 @@ void SocketServer::handleV2(Connection &C, const Request &Req,
   case Request::Kind::Cancel: {
     for (service::Ticket T : C.InFlight) {
       auto It = Pending.find(T);
-      if (It != Pending.end() && It->second.V == Version::V2 &&
-          It->second.JobId == Req.Id) {
+      if (It != Pending.end() && It->second.JobId == Req.Id) {
         Svc->cancel(T);
         Response Ok;
         Ok.K = Response::Kind::Ok;
-        respond(C, Ok, Version::V2);
+        respond(C, Ok);
         return;
       }
     }
     Response NotFound = errorResponse(ErrorCode::UnknownId);
     NotFound.Id = Req.Id;
-    respond(C, NotFound, Version::V2);
+    respond(C, NotFound);
     return;
   }
   case Request::Kind::Stats: {
     Response R;
     R.K = Response::Kind::Stats;
     R.Detail = Svc->statsJson();
-    respond(C, R, Version::V2);
+    respond(C, R);
     return;
   }
   case Request::Kind::Health: {
@@ -561,7 +417,7 @@ void SocketServer::handleV2(Connection &C, const Request &Req,
     R.Workers = H.Workers;
     R.EstWaitMs = H.EstWaitMs;
     R.NextDeadlineMs = H.NextDeadlineDeltaMs;
-    respond(C, R, Version::V2);
+    respond(C, R);
     return;
   }
   case Request::Kind::Metrics: {
@@ -571,13 +427,12 @@ void SocketServer::handleV2(Connection &C, const Request &Req,
     // A registry can outgrow one frame (escaping triples the worst
     // case); a client must get a taxonomy error it can parse, never a
     // frame its own decoder rejects as oversized.
-    if (protocol::encodeResponse(R, Version::V2).size() >
+    if (protocol::encodeResponse(R, protocol::Version::V2).size() >
         protocol::MaxFrameBytes) {
-      respond(C, errorResponse(ErrorCode::Oversized, "metrics exposition"),
-              Version::V2);
+      respond(C, errorResponse(ErrorCode::Oversized, "metrics exposition"));
       return;
     }
-    respond(C, R, Version::V2);
+    respond(C, R);
     return;
   }
   case Request::Kind::Trace: {
@@ -589,19 +444,16 @@ void SocketServer::handleV2(Connection &C, const Request &Req,
     R.K = Response::Kind::Trace;
     R.Id = Req.Id;
     R.Detail = Svc->traceJson(Req.Id);
-    if (protocol::encodeResponse(R, Version::V2).size() >
+    if (protocol::encodeResponse(R, protocol::Version::V2).size() >
         protocol::MaxFrameBytes) {
-      respond(C, errorResponse(ErrorCode::Oversized, "trace json"),
-              Version::V2);
+      respond(C, errorResponse(ErrorCode::Oversized, "trace json"));
       return;
     }
-    respond(C, R, Version::V2);
+    respond(C, R);
     return;
   }
-  default:
-    respond(C, errorResponse(ErrorCode::UnknownCommand, Req.Text),
-            Version::V2);
-    return;
+  case Request::Kind::None:
+    return; // an empty line
   }
 }
 
@@ -612,14 +464,13 @@ void SocketServer::submitV2(Connection &C, const Request &Req) {
   auto Refuse = [&](ErrorCode Err, std::string Detail = "") {
     Response R = errorResponse(Err, std::move(Detail));
     R.Id = Req.Id;
-    respond(C, R, Version::V2);
+    respond(C, R);
   };
-  // The wire id namespace is per connection and per version; a reused id
-  // with a job still in flight would make its completions ambiguous.
+  // The wire id namespace is per connection; a reused id with a job
+  // still in flight would make its completions ambiguous.
   for (service::Ticket T : C.InFlight) {
     auto It = Pending.find(T);
-    if (It != Pending.end() && It->second.V == Version::V2 &&
-        It->second.JobId == Req.Id) {
+    if (It != Pending.end() && It->second.JobId == Req.Id) {
       Refuse(ErrorCode::DuplicateId);
       return;
     }
@@ -632,7 +483,7 @@ void SocketServer::submitV2(Connection &C, const Request &Req) {
 
   // Explicit sketches take precedence (the client already holds parsed
   // sketches); otherwise the description goes to the engine through the
-  // same parser pipeline as v1 solve.
+  // Regel driver's own parser pipeline.
   std::vector<SketchPtr> Sketches;
   for (const std::string &Text : Req.Sketches) {
     std::string ParseErr;
@@ -648,18 +499,19 @@ void SocketServer::submitV2(Connection &C, const Request &Req) {
     return;
   }
 
-  // ONE request builder for every path: start from what a v1 solve on
-  // this connection would submit (buildJobRequest over the connection
-  // defaults — including the default residency SLA), then apply only
-  // the fields the frame explicitly set. A new JobRequest knob added to
-  // buildJobRequest is inherited here automatically instead of being
-  // silently dropped on the wire path.
+  // ONE request builder for every path: start from what the API would
+  // submit for the server defaults (buildJobRequest — including the
+  // default residency SLA), then apply only the fields the frame
+  // explicitly set. A new JobRequest knob added to buildJobRequest is
+  // inherited here automatically instead of being silently dropped on
+  // the wire path. The ticket carries the description; the job's first
+  // engine task parses it on a worker (a parse can take seconds).
   Examples E;
   E.Pos = Req.Pos;
   E.Neg = Req.Neg;
   engine::JobRequest R =
-      Sketches.empty() ? buildJobRequest(C.Cfg, Parser, Req.Text, E)
-                       : buildJobRequest(C.Cfg, std::move(Sketches), E);
+      Sketches.empty() ? buildJobRequest(Cfg.Defaults, Parser, Req.Text, E)
+                       : buildJobRequest(Cfg.Defaults, std::move(Sketches), E);
   if (Req.TopK > 0)
     R.TopK = Req.TopK;
   if (Req.HasPri)
@@ -677,12 +529,16 @@ void SocketServer::submitV2(Connection &C, const Request &Req) {
   R.Tag = Req.Tag;
 
   service::Ticket T = Svc->submit(std::move(R));
-  trackTicket(C, T, Req.Id, Version::V2);
+  Pending[T] = {C.Id, Req.Id};
+  C.InFlight.push_back(T);
 
   Response Ack;
   Ack.K = Response::Kind::Queued;
   Ack.Id = Req.Id;
-  respond(C, Ack, Version::V2);
+  respond(C, Ack);
+  // The job may already be complete (e.g. rejected by admission
+  // control): its completion is drained on the next loop turn either way
+  // — the service wakeup byte guarantees one.
 }
 
 void SocketServer::routeCompletion(const service::Completion &Done) {
@@ -710,7 +566,7 @@ void SocketServer::routeCompletion(const service::Completion &Done) {
     Ans.Id = P.JobId;
     Ans.Rank = A.SketchRank;
     Ans.Detail = printRegex(A.Regex);
-    Msg += protocol::encodeResponse(Ans, P.V);
+    Msg += protocol::encodeResponse(Ans, protocol::Version::V2);
     Msg += '\n';
   }
   Response Fin;
@@ -721,18 +577,14 @@ void SocketServer::routeCompletion(const service::Completion &Done) {
   Fin.ExecMs = R.ExecMs;
   Fin.QueueMs = R.QueueMs;
   Fin.Answers = static_cast<unsigned>(R.Answers.size());
-  Fin.TraceId = R.TraceId; // v2 emits trace= when retained; v1 unchanged
-  Msg += protocol::encodeResponse(Fin, P.V);
+  Fin.TraceId = R.TraceId; // trace= only when retained
+  Msg += protocol::encodeResponse(Fin, protocol::Version::V2);
   Msg += '\n';
   queueOutput(C, Msg);
 }
 
-void SocketServer::respond(Connection &C, const Response &R, Version V) {
-  std::string Line = protocol::encodeResponse(R, V);
-  if (Line.empty())
-    return;
-  Line += '\n';
-  queueOutput(C, Line);
+void SocketServer::respond(Connection &C, const Response &R) {
+  queueOutput(C, protocol::encodeResponse(R, protocol::Version::V2) + '\n');
 }
 
 void SocketServer::queueOutput(Connection &C, const std::string &Text) {

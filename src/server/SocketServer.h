@@ -7,7 +7,7 @@
 //
 //   * the listening socket, a wakeup pipe, and all client sockets are
 //     non-blocking and multiplexed through poll();
-//   * `solve` / `v2 submit` decode on the loop thread and submit a ticket
+//   * `v2 submit` decodes on the loop thread and submits a ticket
 //     tagged with the connection; a description is parsed into sketches
 //     by the job's first engine task, on a worker, so the loop blocks on
 //     neither parsing nor synthesis;
@@ -23,10 +23,10 @@
 //     swept it — the timer half of eager expiry (poll-timeout standing in
 //     for a timerfd; same loop, no extra fd).
 //
-// Per-connection `priority` selects the job's scheduling class, and
+// A submit's `pri=` selects the job's scheduling class, and
 // MaxInflightPerConn bounds how many unfinished jobs one connection may
-// hold: a chatty client pipelining solves gets `error busy` (v2: code=
-// busy) instead of monopolizing the engine's queue slots.
+// hold: a chatty client pipelining submits gets `v2 error code=busy`
+// instead of monopolizing the engine's queue slots.
 //
 // Concurrency contract: this class owns NO mutexes, by design — all
 // mutable state belongs to the loop thread (the caller of run()). The
@@ -40,26 +40,14 @@
 // state must be an atomic or must move behind the pipe.
 //
 // Wire protocol (full spec in docs/PROTOCOL.md; codec in
-// service/Protocol.h): line-oriented, UTF-8, '\n'-terminated. v1 is the
-// original stateful command set, preserved byte-for-byte:
-//
-//   desc <text>        set the query description
-//   pos <str> / neg <str>   add a positive / negative example
-//   topk <k> | budget <ms> | sla <ms>   tune the current query
-//   priority <interactive|batch|background>   scheduling class
-//   solve              submit; ack "queued <id>"; completion later:
-//                        "answer <id> <regex>"            (0..TopK lines)
-//                        "done <id> <status> total_ms=<t> exec_ms=<e>"
-//                      status: solved | nosolution | rejected | shed |
-//                              deadline | expired
-//   clear | stats | help | quit      as in the old REPL
-//   unknown commands: "error <msg>"
-//
-// Lines starting with "v2 " are structured frames (one-shot submit with a
-// client-chosen id, cancel, stats, health); responses to them — including
-// their async answer/done completions — are v2 frames. Both versions can
-// interleave on one connection; each job answers in the version that
-// submitted it.
+// service/Protocol.h): line-oriented, '\n'-terminated `v2` frames.
+// Connections are stateless: every `v2 submit` carries its whole query
+// (client-chosen id, description or sketches, examples, budgets) and is
+// acknowledged `v2 queued id=<id>`; its completion arrives later as
+// `v2 answer` lines and one `v2 done`. A line that is not a v2 frame,
+// and every refusal (malformed frame, busy, server full, line too long),
+// is answered with a `v2 error code=<taxonomy>` frame; an empty line is
+// ignored.
 //
 //===----------------------------------------------------------------------===//
 
@@ -87,8 +75,8 @@ struct ServerConfig {
   /// hardened public endpoint.
   std::string BindAddr = "127.0.0.1";
   int Backlog = 64;
-  /// Connections beyond this are accepted and immediately closed with an
-  /// "error server full" line (0 = unlimited).
+  /// Connections beyond this are accepted and immediately closed with a
+  /// `v2 error code=server_full` frame (0 = unlimited).
   size_t MaxConnections = 256;
   /// A connection whose pending input line exceeds this many bytes is
   /// dropped (slowloris / unbounded-buffer guard).
@@ -98,11 +86,11 @@ struct ServerConfig {
   /// must not grow server memory without bound).
   size_t MaxOutBytes = 1 << 20;
   /// Unfinished jobs one connection may hold in flight (0 = unlimited).
-  /// The solve/submit beyond this answers `error busy` immediately, so a
+  /// The submit beyond this answers `code=busy` immediately, so a
   /// single pipelining client cannot monopolize the engine's queue-depth
   /// budget that every connection shares.
   size_t MaxInflightPerConn = 32;
-  /// Defaults every fresh connection's query state starts from.
+  /// Defaults a submit starts from; its frame overrides what it sets.
   RegelConfig Defaults;
 };
 
@@ -115,8 +103,7 @@ struct ServerConfig {
 /// handle-based clients of the engine underneath are unaffected.
 class SocketServer {
 public:
-  /// Serves \p Svc. \p Parser turns v1 descriptions (and v2 desc=
-  /// fields) into sketches, on the engine's workers (see
+  /// Serves \p Svc. \p Parser turns submit `desc=` fields into sketches, on the engine's workers (see
   /// regel::buildJobRequest); it must not be retrained while serving.
   SocketServer(std::shared_ptr<const nlp::SemanticParser> Parser,
                std::shared_ptr<service::LocalService> Svc, ServerConfig Cfg);
@@ -161,15 +148,9 @@ private:
     bool CloseAfterFlush = false; ///< close once Out drains and jobs land
     bool Dead = false; ///< hard I/O error; loop closes it next turn
     bool DiscardInput = false; ///< stop polling POLLIN (EOF or abuse guard)
-    bool QuitSeen = false; ///< explicit quit: later input is discarded
     /// This connection's unfinished tickets, so teardown cancels exactly
     /// its own work instead of scanning every pending job on the server.
     std::vector<service::Ticket> InFlight;
-    // Query state (the old REPL's, per connection; v1 commands mutate it,
-    // v2 submits are self-contained and only read the defaults).
-    std::string Description;
-    Examples E;
-    RegelConfig Cfg;
 
     size_t outPending() const { return Out.size() - OutOff; }
   };
@@ -177,8 +158,7 @@ private:
   /// What pollCompleted results route back through.
   struct PendingJob {
     uint64_t ConnId = 0;
-    uint64_t JobId = 0; ///< wire id (server-assigned v1 / client v2)
-    protocol::Version V = protocol::Version::V1; ///< completion encoding
+    uint64_t JobId = 0; ///< client-chosen wire id
   };
 
   /// The self-pipe, shared with the service wakeup hook: the fds close
@@ -191,19 +171,9 @@ private:
   };
 
   void handleLine(Connection &C, const std::string &Line);
-  void handleV1(Connection &C, const protocol::Request &Req,
-                protocol::ErrorCode Err);
-  void handleV2(Connection &C, const protocol::Request &Req,
-                protocol::ErrorCode Err);
-  void submitSolve(Connection &C);
   void submitV2(Connection &C, const protocol::Request &Req);
-  /// Registers \p T in Pending and the connection, in one place, so the
-  /// v1 and v2 submit paths cannot drift.
-  void trackTicket(Connection &C, service::Ticket T, uint64_t WireId,
-                   protocol::Version V);
   void routeCompletion(const service::Completion &Done);
-  void respond(Connection &C, const protocol::Response &R,
-               protocol::Version V);
+  void respond(Connection &C, const protocol::Response &R);
   /// Appends \p Text for the loop's next flush (MaxOutBytes guard).
   void queueOutput(Connection &C, const std::string &Text);
   void flushOutput(Connection &C);
@@ -230,7 +200,6 @@ private:
   std::atomic<size_t> NumConnections{0};
 
   uint64_t NextConnId = 1;
-  uint64_t NextJobId = 1;
   /// After a hard accept() failure (EMFILE and friends) the listener is
   /// left out of the poll set until this stopwatch passes the backoff, so
   /// a pending backlog entry cannot busy-spin the loop. Deliberately REAL

@@ -5,33 +5,17 @@
 #include "engine/WorkerPool.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 using namespace regel;
 using namespace regel::protocol;
 
-const char regel::protocol::GreetingText[] =
-    "regel ready; 'help' lists commands";
-
-const char regel::protocol::HelpText[] =
-    "commands: desc <text> | pos <str> | neg <str> | topk <k> |\n"
-    "          budget <ms> | sla <ms> | priority <class> | solve |\n"
-    "          clear | stats | help | quit\n";
-
 namespace {
 
-/// Splits "cmd arg..." on the first space (the v1 tokenization).
-void splitCommand(const std::string &Line, std::string &Cmd,
-                  std::string &Arg) {
-  size_t Space = Line.find(' ');
-  Cmd = Line.substr(0, Space);
-  Arg = Space == std::string::npos ? "" : Line.substr(Space + 1);
-}
-
 /// Strict full-string unsigned parse (digits only; rejects empty,
-/// overflow, trailing junk) — v2 refuses what v1's atoi would guess at.
+/// overflow, trailing junk): a number is parsed exactly or refused.
 bool parseU64(const std::string &S, uint64_t &Out) {
   if (S.empty() || S.size() > 20)
     return false;
@@ -55,14 +39,17 @@ bool parseI64(const std::string &S, int64_t &Out) {
   return true;
 }
 
-/// Strict full-string double parse.
-bool parseF64(const std::string &S, double &Out) {
+/// Strict full-string millisecond parse. Non-finite values and values
+/// beyond MaxMsArg are refused, so every accepted value re-encodes (as
+/// %.1f) to a token this parser accepts again.
+bool parseMs(const std::string &S, double &Out) {
   if (S.empty() || S.size() > 64)
     return false;
   errno = 0;
   char *End = nullptr;
   double V = std::strtod(S.c_str(), &End);
-  if (errno == ERANGE || End != S.c_str() + S.size())
+  if (errno == ERANGE || End != S.c_str() + S.size() || !std::isfinite(V) ||
+      std::fabs(V) > static_cast<double>(MaxMsArg))
     return false;
   Out = V;
   return true;
@@ -78,7 +65,7 @@ int hexVal(char C) {
   return -1;
 }
 
-/// Splits a v2 frame into space-separated tokens. Empty tokens (doubled
+/// Splits a frame into space-separated tokens. Empty tokens (doubled
 /// spaces, leading/trailing space) are a malformed frame.
 bool tokenize(const std::string &Line, std::vector<std::string> &Out) {
   size_t Start = 0;
@@ -259,48 +246,7 @@ bool regel::protocol::unescapeValue(const std::string &S, std::string &Out) {
 // Requests
 //===----------------------------------------------------------------------===//
 
-std::string regel::protocol::encodeRequest(const Request &R, Version V) {
-  if (V == Version::V1) {
-    auto WithArg = [](const char *Cmd, const std::string &Arg) {
-      return Arg.empty() ? std::string(Cmd) : std::string(Cmd) + " " + Arg;
-    };
-    switch (R.K) {
-    case Request::Kind::None:
-      return "";
-    case Request::Kind::Help:
-      return "help";
-    case Request::Kind::Desc:
-      return WithArg("desc", R.Text);
-    case Request::Kind::Pos:
-      return WithArg("pos", R.Text);
-    case Request::Kind::Neg:
-      return WithArg("neg", R.Text);
-    case Request::Kind::TopK:
-      return "topk " + std::to_string(R.Int);
-    case Request::Kind::Budget:
-      return "budget " + std::to_string(R.Int);
-    case Request::Kind::Sla:
-      return "sla " + std::to_string(R.Int);
-    case Request::Kind::Priority:
-      return std::string("priority ") + engine::priorityName(R.Pri);
-    case Request::Kind::Clear:
-      return "clear";
-    case Request::Kind::Solve:
-      return "solve";
-    case Request::Kind::Stats:
-      return "stats";
-    case Request::Kind::Quit:
-      return "quit";
-    case Request::Kind::Submit:
-    case Request::Kind::Cancel:
-    case Request::Kind::Health:
-    case Request::Kind::Metrics:
-    case Request::Kind::Trace:
-      return ""; // not expressible in v1
-    }
-    return "";
-  }
-
+std::string regel::protocol::encodeRequest(const Request &R, Version) {
   std::string Out;
   switch (R.K) {
   case Request::Kind::Submit: {
@@ -348,75 +294,20 @@ std::string regel::protocol::encodeRequest(const Request &R, Version V) {
     return "v2 health";
   case Request::Kind::Metrics:
     return "v2 metrics";
-  default:
-    return ""; // stateful v1 commands have no v2 form
+  case Request::Kind::None:
+    return "";
   }
+  return "";
 }
 
 namespace {
 
-ErrorCode decodeRequestV1(const std::string &Line, Request &Out) {
-  Out.V = Version::V1;
-  std::string Cmd, Arg;
-  splitCommand(Line, Cmd, Arg);
-  if (Cmd.empty()) {
-    Out.K = Request::Kind::None;
-    return ErrorCode::None;
-  }
-  if (Cmd == "quit" || Cmd == "exit") {
-    Out.K = Request::Kind::Quit;
-    return ErrorCode::None;
-  }
-  if (Cmd == "help") {
-    Out.K = Request::Kind::Help;
-    return ErrorCode::None;
-  }
-  if (Cmd == "clear") {
-    Out.K = Request::Kind::Clear;
-    return ErrorCode::None;
-  }
-  if (Cmd == "stats") {
-    Out.K = Request::Kind::Stats;
-    return ErrorCode::None;
-  }
-  if (Cmd == "solve") {
-    Out.K = Request::Kind::Solve;
-    return ErrorCode::None;
-  }
-  if (Cmd == "desc" || Cmd == "pos" || Cmd == "neg") {
-    Out.K = Cmd == "desc" ? Request::Kind::Desc
-            : Cmd == "pos" ? Request::Kind::Pos
-                           : Request::Kind::Neg;
-    Out.Text = Arg;
-    return ErrorCode::None;
-  }
-  if (Cmd == "topk" || Cmd == "budget" || Cmd == "sla") {
-    Out.K = Cmd == "topk"     ? Request::Kind::TopK
-            : Cmd == "budget" ? Request::Kind::Budget
-                              : Request::Kind::Sla;
-    // Deliberately atoi semantics: v1 has always guessed at garbage
-    // ("topk x" -> 0, clamped by the server), and staying byte-compatible
-    // means staying bug-compatible here too.
-    Out.Int = std::atoi(Arg.c_str());
-    return ErrorCode::None;
-  }
-  if (Cmd == "priority") {
-    engine::Priority P;
-    if (!engine::parsePriority(Arg, P)) {
-      Out.Text = Arg;
-      return ErrorCode::UnknownPriority;
-    }
-    Out.K = Request::Kind::Priority;
-    Out.Pri = P;
-    Out.HasPri = true;
-    return ErrorCode::None;
-  }
-  Out.Text = Cmd;
-  return ErrorCode::UnknownCommand;
+/// The offending token a decode error echoes, cut to MaxEchoBytes.
+std::string echoToken(const std::string &Tok) {
+  return Tok.substr(0, MaxEchoBytes);
 }
 
-ErrorCode decodeRequestV2(const std::string &Line, Request &Out) {
-  Out.V = Version::V2;
+ErrorCode decodeFrame(const std::string &Line, Request &Out) {
   std::vector<std::string> Toks;
   if (!tokenize(Line, Toks) || Toks.size() < 2)
     return ErrorCode::Malformed;
@@ -441,7 +332,7 @@ ErrorCode decodeRequestV2(const std::string &Line, Request &Out) {
     return ErrorCode::None;
   }
   if (Type != "submit" && Type != "cancel" && Type != "trace") {
-    Out.Text = Type;
+    Out.Text = echoToken(Type);
     return ErrorCode::UnknownCommand;
   }
 
@@ -488,7 +379,7 @@ ErrorCode decodeRequestV2(const std::string &Line, Request &Out) {
         return ErrorCode::BadArgument;
     } else if (Key == "pri") {
       if (!engine::parsePriority(Val, Out.Pri)) {
-        Out.Text = Val;
+        Out.Text = echoToken(Val);
         return ErrorCode::UnknownPriority;
       }
       Out.HasPri = true;
@@ -519,34 +410,35 @@ ErrorCode decodeRequestV2(const std::string &Line, Request &Out) {
 ErrorCode regel::protocol::decodeRequest(const std::string &Line,
                                          Request &Out) {
   Out = Request();
-  if (Line == "v2" || Line.rfind("v2 ", 0) == 0) {
-    // Version is pinned before any rejection so the caller answers in
-    // v2 framing (a v1-framed error is invisible to a v2 client). On
-    // a decode failure Out.Id carries whatever id was recovered, so
-    // the error can be addressed to the ticket it concerns.
-    Out.V = Version::V2;
-    if (Line.size() > MaxFrameBytes) {
-      // Best effort: fish the id out of the oversized frame (our own
-      // encoder always puts it first) without parsing the rest.
-      const size_t P = Line.find(" id=");
-      if (P != std::string::npos) {
-        size_t E = P + 4;
-        while (E < Line.size() && Line[E] >= '0' && Line[E] <= '9')
-          ++E;
-        uint64_t Id = 0;
-        if (E > P + 4 && parseU64(Line.substr(P + 4, E - (P + 4)), Id))
-          Out.Id = Id;
-      }
-      return ErrorCode::Oversized;
+  if (Line.empty())
+    return ErrorCode::None;
+  // On a decode failure Out.Id carries whatever id was recovered, so the
+  // error can be addressed to the ticket it concerns.
+  if (Line.size() > MaxFrameBytes) {
+    // Best effort: fish the id out of the oversized frame (our own
+    // encoder always puts it first) without parsing the rest.
+    const size_t P = Line.find(" id=");
+    if (P != std::string::npos) {
+      size_t E = P + 4;
+      while (E < Line.size() && Line[E] >= '0' && Line[E] <= '9')
+        ++E;
+      uint64_t Id = 0;
+      if (E > P + 4 && parseU64(Line.substr(P + 4, E - (P + 4)), Id))
+        Out.Id = Id;
     }
-    return decodeRequestV2(Line, Out);
+    return ErrorCode::Oversized;
   }
-  // No codec-level length cap on v1: the historical server accepted a
-  // long line whenever its newline had already arrived (the transport's
-  // MaxLineBytes guard only trips on unterminated input), and v1
-  // behaviour is byte-frozen. Bounding v1 lines remains the transport's
-  // job.
-  return decodeRequestV1(Line, Out);
+  if (Line != "v2" && Line.rfind("v2 ", 0) != 0) {
+    Out.Text = echoToken(Line.substr(0, Line.find(' ')));
+    return ErrorCode::UnknownCommand;
+  }
+  const ErrorCode Err = decodeFrame(Line, Out);
+  // Only the offending token is echoed: a refused submit's description
+  // is no part of its error.
+  if (Err != ErrorCode::None && Err != ErrorCode::UnknownCommand &&
+      Err != ErrorCode::UnknownPriority)
+    Out.Text.clear();
+  return Err;
 }
 
 //===----------------------------------------------------------------------===//
@@ -555,117 +447,7 @@ ErrorCode regel::protocol::decodeRequest(const std::string &Line,
 
 namespace {
 
-std::string encodeErrorV1(const Response &R) {
-  switch (R.Err) {
-  case ErrorCode::UnknownCommand:
-    return "error unknown command '" + R.Detail + "'";
-  case ErrorCode::UnknownPriority:
-    return "error unknown priority '" + R.Detail +
-           "' (interactive|batch|background)";
-  case ErrorCode::NothingToSolve:
-    return "error nothing to solve: give desc and/or examples";
-  case ErrorCode::Busy:
-    return "error busy";
-  case ErrorCode::ServerFull:
-    return "error server full";
-  case ErrorCode::LineTooLong:
-    return "error line too long";
-  default:
-    return "error " + (R.Detail.empty()
-                           ? std::string(errorCodeName(R.Err))
-                           : R.Detail);
-  }
-}
-
-ErrorCode decodeResponseV1(const std::string &Line, Response &Out) {
-  if (Line == GreetingText) {
-    Out.K = Response::Kind::Greeting;
-    return ErrorCode::None;
-  }
-  if (Line == "ok") {
-    Out.K = Response::Kind::Ok;
-    return ErrorCode::None;
-  }
-  if (Line == "bye") {
-    Out.K = Response::Kind::Bye;
-    return ErrorCode::None;
-  }
-  if (Line.rfind("commands:", 0) == 0) {
-    Out.K = Response::Kind::Help;
-    Out.Detail = Line;
-    return ErrorCode::None;
-  }
-  std::string Cmd, Rest;
-  splitCommand(Line, Cmd, Rest);
-  if (Cmd == "error") {
-    Out.K = Response::Kind::Error;
-    Out.Detail = Rest;
-    // Recover the taxonomy code from the historical free texts.
-    if (Rest.rfind("unknown command '", 0) == 0 && Rest.size() > 17) {
-      Out.Err = ErrorCode::UnknownCommand;
-      Out.Detail = Rest.substr(17, Rest.size() - 18);
-    } else if (Rest.rfind("unknown priority '", 0) == 0) {
-      Out.Err = ErrorCode::UnknownPriority;
-      size_t End = Rest.find('\'', 18);
-      Out.Detail = End == std::string::npos ? "" : Rest.substr(18, End - 18);
-    } else if (Rest.rfind("nothing to solve", 0) == 0) {
-      Out.Err = ErrorCode::NothingToSolve;
-      Out.Detail.clear();
-    } else if (Rest == "busy") {
-      Out.Err = ErrorCode::Busy;
-      Out.Detail.clear();
-    } else if (Rest == "server full") {
-      Out.Err = ErrorCode::ServerFull;
-      Out.Detail.clear();
-    } else if (Rest == "line too long") {
-      Out.Err = ErrorCode::LineTooLong;
-      Out.Detail.clear();
-    }
-    return ErrorCode::None;
-  }
-  if (Cmd == "queued") {
-    if (!parseU64(Rest, Out.Id))
-      return ErrorCode::Malformed;
-    Out.K = Response::Kind::Queued;
-    return ErrorCode::None;
-  }
-  if (Cmd == "answer") {
-    std::string IdTok, Regex;
-    splitCommand(Rest, IdTok, Regex);
-    if (!parseU64(IdTok, Out.Id) || Regex.empty())
-      return ErrorCode::Malformed;
-    Out.K = Response::Kind::Answer;
-    Out.Detail = Regex;
-    return ErrorCode::None;
-  }
-  if (Cmd == "done") {
-    // "done <id> <status> total_ms=<t> exec_ms=<e>"
-    std::vector<std::string> Toks;
-    if (!tokenize(Rest, Toks) || Toks.size() != 4)
-      return ErrorCode::Malformed;
-    if (!parseU64(Toks[0], Out.Id))
-      return ErrorCode::Malformed;
-    Out.Status = Toks[1];
-    engine::JobResult Probe;
-    if (!applyVerdict(Out.Status, Probe) && Out.Status != "solved")
-      return ErrorCode::Malformed;
-    if (Toks[2].rfind("total_ms=", 0) != 0 ||
-        Toks[3].rfind("exec_ms=", 0) != 0 ||
-        !parseF64(Toks[2].substr(9), Out.TotalMs) ||
-        !parseF64(Toks[3].substr(8), Out.ExecMs))
-      return ErrorCode::Malformed;
-    Out.K = Response::Kind::Done;
-    return ErrorCode::None;
-  }
-  if (Cmd == "stats" && !Rest.empty()) {
-    Out.K = Response::Kind::Stats;
-    Out.Detail = Rest;
-    return ErrorCode::None;
-  }
-  return ErrorCode::Malformed;
-}
-
-ErrorCode decodeResponseV2(const std::string &Line, Response &Out) {
+ErrorCode decodeResponseFrame(const std::string &Line, Response &Out) {
   std::vector<std::string> Toks;
   if (!tokenize(Line, Toks) || Toks.size() < 2 || Toks[0] != "v2")
     return ErrorCode::Malformed;
@@ -738,11 +520,11 @@ ErrorCode decodeResponseV2(const std::string &Line, Response &Out) {
             return true;
           }
           if (K == "total_ms")
-            return parseF64(V, Out.TotalMs);
+            return parseMs(V, Out.TotalMs);
           if (K == "exec_ms")
-            return parseF64(V, Out.ExecMs);
+            return parseMs(V, Out.ExecMs);
           if (K == "queue_ms")
-            return parseF64(V, Out.QueueMs);
+            return parseMs(V, Out.QueueMs);
           if (K == "answers") {
             uint64_t N = 0;
             if (!parseU64(V, N) || N > 100000)
@@ -842,7 +624,7 @@ ErrorCode decodeResponseV2(const std::string &Line, Response &Out) {
             return true;
           }
           if (K == "est_wait_ms")
-            return parseF64(V, Out.EstWaitMs);
+            return parseMs(V, Out.EstWaitMs);
           if (K == "next_deadline_ms") {
             if (V == "-1") {
               Out.NextDeadlineMs = -1;
@@ -861,49 +643,7 @@ ErrorCode decodeResponseV2(const std::string &Line, Response &Out) {
 
 } // namespace
 
-std::string regel::protocol::encodeResponse(const Response &R, Version V) {
-  if (V == Version::V1) {
-    char Buf[160];
-    switch (R.K) {
-    case Response::Kind::Greeting:
-      return GreetingText;
-    case Response::Kind::Ok:
-      return "ok";
-    case Response::Kind::Bye:
-      return "bye";
-    case Response::Kind::Help: {
-      std::string H = HelpText;
-      if (!H.empty() && H.back() == '\n')
-        H.pop_back(); // caller appends the frame terminator
-      return H;
-    }
-    case Response::Kind::Error:
-      return encodeErrorV1(R);
-    case Response::Kind::Queued:
-      std::snprintf(Buf, sizeof(Buf), "queued %llu",
-                    static_cast<unsigned long long>(R.Id));
-      return Buf;
-    case Response::Kind::Answer:
-      std::snprintf(Buf, sizeof(Buf), "answer %llu ",
-                    static_cast<unsigned long long>(R.Id));
-      return std::string(Buf) + R.Detail;
-    case Response::Kind::Done:
-      std::snprintf(Buf, sizeof(Buf),
-                    "done %llu %s total_ms=%.1f exec_ms=%.1f",
-                    static_cast<unsigned long long>(R.Id), R.Status.c_str(),
-                    R.TotalMs, R.ExecMs);
-      return Buf;
-    case Response::Kind::Stats:
-      return "stats " + R.Detail;
-    case Response::Kind::Health:
-    case Response::Kind::Metrics:
-    case Response::Kind::Trace:
-    case Response::Kind::None:
-      return ""; // not expressible in v1
-    }
-    return "";
-  }
-
+std::string regel::protocol::encodeResponse(const Response &R, Version) {
   std::string Out;
   char Buf[64];
   switch (R.K) {
@@ -955,28 +695,23 @@ std::string regel::protocol::encodeResponse(const Response &R, Version V) {
   case Response::Kind::Health:
     Out = "v2 health healthy=";
     Out += R.Healthy ? '1' : '0';
-    appendNum(Out, "queue_depth", static_cast<long long>(R.QueueDepth));
+    appendU64(Out, "queue_depth", R.QueueDepth);
     appendNum(Out, "workers", R.Workers);
     appendMs(Out, "est_wait_ms", R.EstWaitMs);
     std::snprintf(Buf, sizeof(Buf), " next_deadline_ms=%lld",
                   static_cast<long long>(R.NextDeadlineMs));
     Out += Buf;
     return Out;
-  case Response::Kind::Greeting:
-  case Response::Kind::Bye:
-  case Response::Kind::Help:
   case Response::Kind::None:
-    return ""; // v1-only human texts
+    return "";
   }
   return "";
 }
 
-ErrorCode regel::protocol::decodeResponse(const std::string &Line, Version V,
+ErrorCode regel::protocol::decodeResponse(const std::string &Line, Version,
                                           Response &Out) {
   Out = Response();
   if (Line.size() > MaxFrameBytes)
     return ErrorCode::Oversized;
-  if (V == Version::V2)
-    return decodeResponseV2(Line, Out);
-  return decodeResponseV1(Line, Out);
+  return decodeResponseFrame(Line, Out);
 }

@@ -1,26 +1,18 @@
-//===- service/Protocol.h - Versioned wire codec ----------------*- C++ -*-===//
+//===- service/Protocol.h - The wire codec ----------------------*- C++ -*-===//
 //
 // Part of the Regel reproduction. The one parser/printer for the synthesis
-// wire protocol, extracted out of SocketServer so the server and its
-// machine clients (the perfbench client, the protocol fuzzer) share a
-// single codec instead of hand-rolled ones. Messages are '\n'-terminated
-// lines in one of two versions:
-//
-//   * v1 — the original line protocol, preserved byte-for-byte: stateful
-//     per-connection commands (`desc`, `pos`, `solve`, ...) and free-text
-//     responses (`ok`, `queued <id>`, `done <id> <status> ...`). Anything
-//     that does not start with "v2 " is a v1 frame.
-//
-//   * v2 — structured frames for machine clients: `v2 <type> key=value
-//     ...` with percent-escaped values, a self-contained one-shot `submit`
-//     (client-chosen id, explicit sketches or a description), `cancel`,
-//     `stats`, and `health`.
+// wire protocol, shared by the server and its machine clients (the
+// perfbench client, the protocol fuzzer). Messages are '\n'-terminated
+// `v2 <type> key=value ...` frames with percent-escaped values: a
+// self-contained one-shot `submit` (client-chosen id, explicit sketches
+// or a description, examples), `cancel`, `stats`, `health`, `metrics` and
+// `trace`. A line that is not a v2 frame decodes to UnknownCommand.
 //
 // Decoding is defensive by contract: any input — truncated, oversized,
 // binary garbage — yields an ErrorCode, never undefined behaviour. The
-// error taxonomy is part of the protocol (v2 carries the code on the
-// wire), so clients can tell "queue full" from "busy connection" from
-// "malformed frame" programmatically.
+// error taxonomy is part of the protocol (carried on the wire as
+// `v2 error code=<name>`), so clients can tell "queue full" from "busy
+// connection" from "malformed frame" programmatically.
 //
 // See docs/PROTOCOL.md for the full wire specification.
 //
@@ -37,17 +29,18 @@
 
 namespace regel::protocol {
 
-enum class Version { V1 = 1, V2 = 2 };
+/// The frame dialect. v2 is the only one; the codec entry points keep
+/// the parameter so existing clients compile unchanged.
+enum class Version { V2 = 2 };
 
-/// The protocol's error taxonomy. v1 renders these as its historical
-/// free-text `error ...` lines (byte-compatible); v2 carries the code
-/// explicitly (`v2 error code=<name> msg=...`).
+/// The protocol's error taxonomy, carried on the wire as
+/// `v2 error code=<name> msg=...`.
 enum class ErrorCode {
   None = 0,
-  UnknownCommand,  ///< v1 command / v2 frame type not recognized
+  UnknownCommand,  ///< not a v2 frame, or v2 frame type not recognized
   UnknownPriority, ///< priority name not interactive|batch|background
   BadArgument,     ///< argument present but unparsable (number, sketch)
-  NothingToSolve,  ///< submit/solve with no description, examples, sketch
+  NothingToSolve,  ///< submit with no description, examples or sketch
   Busy,            ///< per-connection in-flight job cap reached
   ServerFull,      ///< connection limit reached
   LineTooLong,     ///< input line exceeded the connection's line cap
@@ -63,20 +56,20 @@ const char *errorCodeName(ErrorCode E);
 /// Parses a name produced by errorCodeName. False on unknown input.
 bool parseErrorCode(const std::string &Name, ErrorCode &Out);
 
-/// Hard cap on one frame, enforced by the decoders: anything longer is
-/// rejected as Oversized before any parsing touches it. Matches the
-/// server's default per-connection line cap.
+/// Hard cap on one frame, enforced by the decoders on every line:
+/// anything longer is rejected as Oversized before any parsing touches
+/// it. Matches the server's default per-connection line cap.
 inline constexpr size_t MaxFrameBytes = 1 << 16;
 
-/// Upper bound on v2 millisecond arguments (budget/persketch/sla):
+/// Upper bound on millisecond arguments (budget/persketch/sla):
 /// ~3 years. Beyond this a duration is a client bug, and unbounded
 /// values would overflow the engine's microsecond deadline arithmetic
 /// (budget * 1000 added to a clock instant) — the decoder rejects them
 /// as BadArgument so the UB can never be reached from the wire.
 inline constexpr int64_t MaxMsArg = 100LL * 1000 * 1000 * 1000;
 
-/// The canonical verdict string of a finished job — the wire contract
-/// shared by v1 `done` lines and v2 `status=`:
+/// The canonical verdict string of a finished job — the `status=` of a
+/// `done` frame:
 /// rejected | shed | solved | expired | deadline | nosolution.
 const char *verdictName(const engine::JobResult &R);
 
@@ -85,7 +78,7 @@ const char *verdictName(const engine::JobResult &R);
 /// an unknown verdict.
 bool applyVerdict(const std::string &Status, engine::JobResult &Out);
 
-/// Percent-escapes \p S for use as a v2 value: '%', ' ', '=', control
+/// Percent-escapes \p S for use as a frame value: '%', ' ', '=', control
 /// bytes and non-ASCII become %XX, so a value never contains a space or
 /// newline and tokenization is unambiguous.
 std::string escapeValue(const std::string &S);
@@ -93,38 +86,27 @@ std::string escapeValue(const std::string &S);
 /// Inverse of escapeValue. False on a malformed escape.
 bool unescapeValue(const std::string &S, std::string &Out);
 
-/// One client -> server message, either version.
+/// One client -> server message.
 struct Request {
   enum class Kind {
-    None,     ///< empty line (v1 no-op)
-    Help,     ///< v1
-    Desc,     ///< v1: Text
-    Pos,      ///< v1: Text
-    Neg,      ///< v1: Text
-    TopK,     ///< v1: Int
-    Budget,   ///< v1: Int (ms)
-    Sla,      ///< v1: Int (ms)
-    Priority, ///< v1: Pri
-    Clear,    ///< v1
-    Solve,    ///< v1 (query state accumulated on the connection)
-    Stats,    ///< v1 and v2
-    Quit,     ///< v1
-    Submit,   ///< v2 one-shot: everything below
-    Cancel,   ///< v2: Id
-    Health,   ///< v2
-    Metrics,  ///< v2: Prometheus-style metrics exposition fetch
-    Trace,    ///< v2: Id = trace id (from a done frame's trace=)
+    None,    ///< empty line (a no-op)
+    Stats,
+    Submit,  ///< one-shot: everything below
+    Cancel,  ///< Id
+    Health,
+    Metrics, ///< Prometheus-style metrics exposition fetch
+    Trace,   ///< Id = trace id (from a done frame's trace=)
   };
 
   Kind K = Kind::None;
-  Version V = Version::V1;
 
-  std::string Text; ///< v1 desc/pos/neg argument; v2 submit description
-  int64_t Int = 0;  ///< v1 topk/budget/sla argument (raw, caller clamps)
+  /// Submit description. On a decode error: the offending token (frame
+  /// type or priority name), cut to MaxEchoBytes, for the error's msg=.
+  std::string Text;
   engine::Priority Pri = engine::Priority::Interactive;
-  bool HasPri = false; ///< v2: priority explicitly present
+  bool HasPri = false; ///< priority explicitly present
 
-  // v2 submit / cancel payload.
+  // Submit / cancel payload.
   uint64_t Id = 0; ///< client-chosen job id (per-connection namespace)
   std::vector<std::string> Pos, Neg;
   std::vector<std::string> Sketches; ///< printSketch forms (take precedence
@@ -140,28 +122,25 @@ struct Request {
   std::string Tag;
 };
 
-/// One server -> client message, either version.
+/// One server -> client message.
 struct Response {
   enum class Kind {
     None,
-    Greeting, ///< v1 banner
     Ok,
-    Bye,
-    Help,   ///< v1 multi-line help text
-    Error,  ///< Err + Detail
-    Queued, ///< Id
-    Answer, ///< Id, Rank (v2 only), Detail = printed regex
-    Done,   ///< Id, Status, TotalMs, ExecMs (+ QueueMs/Answers/TraceId in v2)
-    Stats,  ///< Detail = stats JSON
-    Health, ///< v2: the health block below
-    Metrics, ///< v2: Detail = Prometheus-style text exposition
-    Trace,   ///< v2: Id = trace id, Detail = trace_event JSON
+    Error,   ///< Err + Detail
+    Queued,  ///< Id
+    Answer,  ///< Id, Rank, Detail = printed regex
+    Done,    ///< Id, Status, TotalMs, ExecMs, QueueMs, Answers, TraceId
+    Stats,   ///< Detail = stats JSON
+    Health,  ///< the health block below
+    Metrics, ///< Detail = Prometheus-style text exposition
+    Trace,   ///< Id = trace id, Detail = trace_event JSON
   };
 
   Kind K = Kind::None;
   ErrorCode Err = ErrorCode::None;
   std::string Detail; ///< error detail / stats json / answer regex
-  /// Job id. On v2 Error frames it is optional: nonzero when the error
+  /// Job id. On Error frames it is optional: nonzero when the error
   /// concerns a specific submit/cancel id (busy, duplicate_id,
   /// bad_argument, ...), so a machine client can fail exactly that
   /// ticket instead of hanging it.
@@ -170,11 +149,11 @@ struct Response {
   std::string Status;
   double TotalMs = 0, ExecMs = 0, QueueMs = 0;
   unsigned Answers = 0;
-  /// Retained span-trace id of a finished job (v2 done `trace=`); 0 when
+  /// Retained span-trace id of a finished job (done `trace=`); 0 when
   /// the job's trace was not retained. Fetch it with a Trace request.
   uint64_t TraceId = 0;
 
-  // Health payload (v2).
+  // Health payload.
   bool Healthy = true;
   uint64_t QueueDepth = 0;
   unsigned Workers = 0;
@@ -182,25 +161,24 @@ struct Response {
   int64_t NextDeadlineMs = -1; ///< ms to earliest queued SLA lapse; -1 none
 };
 
-/// v1 fixed texts (the historical bytes; the server must not drift).
-extern const char GreetingText[]; ///< "regel ready; 'help' lists commands"
-extern const char HelpText[];     ///< multi-line, each line '\n'-terminated
+/// Longest offending token a decode error echoes back (Request::Text), so
+/// the error frame stays far below MaxFrameBytes however it escapes.
+inline constexpr size_t MaxEchoBytes = 64;
 
-/// Renders \p R as one wire frame WITHOUT the trailing '\n' (Help is the
-/// exception: multi-line, internal newlines included, final one omitted).
-/// Kinds a version cannot express (e.g. v1 Health) return "".
+/// Renders \p R as one wire frame WITHOUT the trailing '\n'. Kind None
+/// renders as "".
 std::string encodeRequest(const Request &R, Version V);
 std::string encodeResponse(const Response &R, Version V);
 
-/// Parses one frame (no trailing '\n'). The version is auto-detected: a
-/// "v2 " prefix (or the bare word "v2") selects v2, anything else is v1.
-/// Returns ErrorCode::None on success; on failure Out.K is None and the
-/// code describes why (Out.Text carries the offending token for
-/// UnknownCommand/UnknownPriority so callers can echo it).
+/// Parses one frame (no trailing '\n'). An empty line is a no-op (Kind
+/// None, ErrorCode::None); a line that is neither "v2" nor starts with
+/// "v2 " is UnknownCommand, with its first token in Out.Text. On failure
+/// Out.K is None and the code describes why (Out.Text carries the
+/// offending token for UnknownCommand/UnknownPriority so callers can echo
+/// it, and Out.Id whatever id was recovered).
 ErrorCode decodeRequest(const std::string &Line, Request &Out);
 
-/// Parses one response frame of known version \p V (a client knows which
-/// protocol it spoke). Returns ErrorCode::None on success.
+/// Parses one response frame. Returns ErrorCode::None on success.
 ErrorCode decodeResponse(const std::string &Line, Version V, Response &Out);
 
 } // namespace regel::protocol

@@ -1,10 +1,9 @@
 //===- tests/service/ProtocolTest.cpp -------------------------------------===//
 //
-// The versioned wire codec: round-trips for every message type in both
-// versions, byte-exactness of the v1 responses the pre-extraction server
-// emitted (the compatibility contract), and reject-without-crash on
-// truncated / oversized / garbage input — a fuzz-style table plus seeded
-// random bytes through both decoders.
+// The wire codec: round-trips for every message type, and
+// reject-without-crash on truncated / oversized / garbage input — a
+// fuzz-style table plus seeded random bytes through both decoders. Every
+// rejected request yields an error frame a client's decoder accepts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,19 +25,39 @@ namespace {
 
 Request roundTripRequest(const Request &In, Version V) {
   std::string Wire = encodeRequest(In, V);
-  EXPECT_FALSE(Wire.empty()) << "kind not encodable in this version";
+  EXPECT_FALSE(Wire.empty()) << "kind not encodable";
   Request Out;
   EXPECT_EQ(decodeRequest(Wire, Out), ErrorCode::None) << Wire;
-  EXPECT_EQ(Out.V, V) << Wire;
   return Out;
 }
 
 Response roundTripResponse(const Response &In, Version V) {
   std::string Wire = encodeResponse(In, V);
-  EXPECT_FALSE(Wire.empty()) << "kind not encodable in this version";
+  EXPECT_FALSE(Wire.empty()) << "kind not encodable";
   Response Out;
   EXPECT_EQ(decodeResponse(Wire, V, Out), ErrorCode::None) << Wire;
   return Out;
+}
+
+/// The error frame a server answers a rejected \p Line with must be one
+/// its client can decode, whatever the line held.
+void expectAnswerableError(const std::string &Line) {
+  Request Req;
+  const ErrorCode Err = decodeRequest(Line, Req);
+  ASSERT_NE(Err, ErrorCode::None) << Line;
+  EXPECT_LE(Req.Text.size(), MaxEchoBytes);
+  Response E;
+  E.K = Response::Kind::Error;
+  E.Err = Err;
+  E.Detail = Req.Text;
+  E.Id = Req.Id;
+  Response Out;
+  ASSERT_EQ(decodeResponse(encodeResponse(E, Version::V2), Version::V2, Out),
+            ErrorCode::None)
+      << Line.substr(0, 80);
+  EXPECT_EQ(Out.Err, Err);
+  EXPECT_EQ(Out.Detail, Req.Text);
+  EXPECT_EQ(Out.Id, Req.Id);
 }
 
 } // namespace
@@ -62,49 +81,6 @@ TEST(ProtocolEscape, RejectsMalformedEscapes) {
   EXPECT_FALSE(unescapeValue("%2", Out));
   EXPECT_FALSE(unescapeValue("%zz", Out));
   EXPECT_FALSE(unescapeValue("a b", Out)); // raw space in a value
-}
-
-TEST(ProtocolRequest, RoundTripV1EveryKind) {
-  {
-    Request R;
-    R.K = Request::Kind::Desc;
-    R.Text = "a capital letter followed by 2 digits";
-    Request Out = roundTripRequest(R, Version::V1);
-    EXPECT_EQ(Out.K, Request::Kind::Desc);
-    EXPECT_EQ(Out.Text, R.Text);
-  }
-  for (Request::Kind K : {Request::Kind::Pos, Request::Kind::Neg}) {
-    Request R;
-    R.K = K;
-    R.Text = "A12";
-    Request Out = roundTripRequest(R, Version::V1);
-    EXPECT_EQ(Out.K, K);
-    EXPECT_EQ(Out.Text, "A12");
-  }
-  for (Request::Kind K :
-       {Request::Kind::TopK, Request::Kind::Budget, Request::Kind::Sla}) {
-    Request R;
-    R.K = K;
-    R.Int = 1500;
-    Request Out = roundTripRequest(R, Version::V1);
-    EXPECT_EQ(Out.K, K);
-    EXPECT_EQ(Out.Int, 1500);
-  }
-  {
-    Request R;
-    R.K = Request::Kind::Priority;
-    R.Pri = engine::Priority::Batch;
-    Request Out = roundTripRequest(R, Version::V1);
-    EXPECT_EQ(Out.K, Request::Kind::Priority);
-    EXPECT_EQ(Out.Pri, engine::Priority::Batch);
-  }
-  for (Request::Kind K :
-       {Request::Kind::Help, Request::Kind::Clear, Request::Kind::Solve,
-        Request::Kind::Stats, Request::Kind::Quit}) {
-    Request R;
-    R.K = K;
-    EXPECT_EQ(roundTripRequest(R, Version::V1).K, K);
-  }
 }
 
 TEST(ProtocolRequest, RoundTripV2Submit) {
@@ -189,19 +165,12 @@ TEST(ProtocolRequest, RoundTripV2MetricsAndTrace) {
     EXPECT_EQ(Out.K, Request::Kind::Trace);
     EXPECT_EQ(Out.Id, R.Id);
   }
-  // Telemetry is v2-only. v1 has no bytes for these kinds in either
-  // direction — its wire format is frozen — and a v1 "metrics" line is
-  // what it always was: an unknown command.
-  Request M;
-  M.K = Request::Kind::Metrics;
-  EXPECT_EQ(encodeRequest(M, Version::V1), "");
-  Request T;
-  T.K = Request::Kind::Trace;
-  T.Id = 1;
-  EXPECT_EQ(encodeRequest(T, Version::V1), "");
+  // Without the "v2 " prefix a line is no frame at all.
   Request Out;
   EXPECT_EQ(decodeRequest("metrics", Out), ErrorCode::UnknownCommand);
+  EXPECT_EQ(Out.Text, "metrics");
   EXPECT_EQ(decodeRequest("trace 3", Out), ErrorCode::UnknownCommand);
+  EXPECT_EQ(Out.Text, "trace");
 }
 
 TEST(ProtocolRequest, RetiredDfaFramesDecodeToErrors) {
@@ -241,118 +210,6 @@ TEST(ProtocolResponse, RetiredUnavailableCodeDecodesToAnError) {
     ASSERT_TRUE(parseErrorCode(errorCodeName(Code), E)) << errorCodeName(Code);
     EXPECT_EQ(E, Code);
   }
-}
-
-TEST(ProtocolResponse, RoundTripV1EveryKind) {
-  for (Response::Kind K :
-       {Response::Kind::Greeting, Response::Kind::Ok, Response::Kind::Bye,
-        Response::Kind::Help}) {
-    Response R;
-    R.K = K;
-    EXPECT_EQ(roundTripResponse(R, Version::V1).K, K);
-  }
-  {
-    Response R;
-    R.K = Response::Kind::Queued;
-    R.Id = 9;
-    Response Out = roundTripResponse(R, Version::V1);
-    EXPECT_EQ(Out.K, Response::Kind::Queued);
-    EXPECT_EQ(Out.Id, 9u);
-  }
-  {
-    Response R;
-    R.K = Response::Kind::Answer;
-    R.Id = 9;
-    R.Detail = "Concat(<cap>,Repeat(<num>,2))";
-    Response Out = roundTripResponse(R, Version::V1);
-    EXPECT_EQ(Out.K, Response::Kind::Answer);
-    EXPECT_EQ(Out.Id, 9u);
-    EXPECT_EQ(Out.Detail, R.Detail);
-  }
-  {
-    Response R;
-    R.K = Response::Kind::Done;
-    R.Id = 9;
-    R.Status = "solved";
-    R.TotalMs = 125.0;
-    R.ExecMs = 124.8;
-    Response Out = roundTripResponse(R, Version::V1);
-    EXPECT_EQ(Out.K, Response::Kind::Done);
-    EXPECT_EQ(Out.Id, 9u);
-    EXPECT_EQ(Out.Status, "solved");
-    EXPECT_NEAR(Out.TotalMs, 125.0, 0.05);
-    EXPECT_NEAR(Out.ExecMs, 124.8, 0.05);
-  }
-  {
-    Response R;
-    R.K = Response::Kind::Stats;
-    R.Detail = "{\"jobs\":{\"submitted\":3}}";
-    Response Out = roundTripResponse(R, Version::V1);
-    EXPECT_EQ(Out.K, Response::Kind::Stats);
-    EXPECT_EQ(Out.Detail, R.Detail);
-  }
-  // The taxonomy errors recover their code from the historical text.
-  for (ErrorCode E :
-       {ErrorCode::NothingToSolve, ErrorCode::Busy, ErrorCode::ServerFull,
-        ErrorCode::LineTooLong}) {
-    Response R = Response();
-    R.K = Response::Kind::Error;
-    R.Err = E;
-    Response Out = roundTripResponse(R, Version::V1);
-    EXPECT_EQ(Out.K, Response::Kind::Error);
-    EXPECT_EQ(Out.Err, E);
-  }
-  {
-    Response R;
-    R.K = Response::Kind::Error;
-    R.Err = ErrorCode::UnknownCommand;
-    R.Detail = "bogus";
-    Response Out = roundTripResponse(R, Version::V1);
-    EXPECT_EQ(Out.Err, ErrorCode::UnknownCommand);
-    EXPECT_EQ(Out.Detail, "bogus");
-  }
-}
-
-TEST(ProtocolResponse, V1BytesAreTheHistoricalOnes) {
-  // The compatibility contract: these exact bytes are what pre-service
-  // servers emitted, and what the unchanged server suite asserts on.
-  Response Done;
-  Done.K = Response::Kind::Done;
-  Done.Id = 3;
-  Done.Status = "solved";
-  Done.TotalMs = 125.0;
-  Done.ExecMs = 124.75;
-  EXPECT_EQ(encodeResponse(Done, Version::V1),
-            "done 3 solved total_ms=125.0 exec_ms=124.8");
-
-  Response Q;
-  Q.K = Response::Kind::Queued;
-  Q.Id = 11;
-  EXPECT_EQ(encodeResponse(Q, Version::V1), "queued 11");
-
-  Response A;
-  A.K = Response::Kind::Answer;
-  A.Id = 11;
-  A.Detail = "Repeat(<num>,2)";
-  EXPECT_EQ(encodeResponse(A, Version::V1), "answer 11 Repeat(<num>,2)");
-
-  Response G;
-  G.K = Response::Kind::Greeting;
-  EXPECT_EQ(encodeResponse(G, Version::V1),
-            "regel ready; 'help' lists commands");
-
-  Response E;
-  E.K = Response::Kind::Error;
-  E.Err = ErrorCode::UnknownCommand;
-  E.Detail = "frobnicate";
-  EXPECT_EQ(encodeResponse(E, Version::V1),
-            "error unknown command 'frobnicate'");
-  E.Err = ErrorCode::NothingToSolve;
-  E.Detail.clear();
-  EXPECT_EQ(encodeResponse(E, Version::V1),
-            "error nothing to solve: give desc and/or examples");
-  E.Err = ErrorCode::Busy;
-  EXPECT_EQ(encodeResponse(E, Version::V1), "error busy");
 }
 
 TEST(ProtocolResponse, RoundTripV2EveryKind) {
@@ -430,6 +287,8 @@ TEST(ProtocolResponse, RoundTripV2EveryKind) {
     EXPECT_EQ(Out.NextDeadlineMs, 88);
     R.NextDeadlineMs = -1;
     EXPECT_EQ(roundTripResponse(R, Version::V2).NextDeadlineMs, -1);
+    R.QueueDepth = 0x8000000000000001ull; // full uint64 range, unsigned
+    EXPECT_EQ(roundTripResponse(R, Version::V2).QueueDepth, R.QueueDepth);
   }
 }
 
@@ -469,9 +328,6 @@ TEST(ProtocolResponse, RoundTripV2MetricsTraceAndDoneTraceId) {
     R.TraceId = 0x100000007ull;
     Response Out = roundTripResponse(R, Version::V2);
     EXPECT_EQ(Out.TraceId, R.TraceId);
-    // v1 done is byte-frozen: no trace key ever appears.
-    EXPECT_EQ(encodeResponse(R, Version::V1).find("trace"),
-              std::string::npos);
     // TraceId 0 means "not retained": v2 omits the key entirely, and the
     // decoder leaves the field at its 0 default.
     R.TraceId = 0;
@@ -479,14 +335,6 @@ TEST(ProtocolResponse, RoundTripV2MetricsTraceAndDoneTraceId) {
               std::string::npos);
     EXPECT_EQ(roundTripResponse(R, Version::V2).TraceId, 0u);
   }
-  // v1 cannot carry the new response kinds at all.
-  Response M;
-  M.K = Response::Kind::Metrics;
-  EXPECT_EQ(encodeResponse(M, Version::V1), "");
-  Response T;
-  T.K = Response::Kind::Trace;
-  T.Id = 1;
-  EXPECT_EQ(encodeResponse(T, Version::V1), "");
 }
 
 TEST(ProtocolVerdicts, NamesRoundTripThroughFlags) {
@@ -515,8 +363,8 @@ TEST(ProtocolVerdicts, NamesRoundTripThroughFlags) {
 
 TEST(ProtocolFuzz, RejectWithoutCrashTable) {
   // Truncated, malformed, hostile and oversized frames: every decode
-  // returns an error code (or a well-defined v1 parse) and never crashes
-  // or accepts garbage as a v2 frame.
+  // returns an error code, never crashes, and never accepts garbage as a
+  // frame.
   const std::vector<std::string> BadV2 = {
       "v2",
       "v2 ",
@@ -551,26 +399,67 @@ TEST(ProtocolFuzz, RejectWithoutCrashTable) {
     Request Out;
     EXPECT_NE(decodeRequest(Line, Out), ErrorCode::None) << Line;
     EXPECT_EQ(Out.K, Request::Kind::None) << Line;
+    expectAnswerableError(Line);
   }
 
-  // Oversized v2 input is rejected before parsing; v1 has no codec cap
-  // (byte-frozen behaviour — the transport's line guard owns that).
+  // A line that is not a v2 frame is an unknown command whose first
+  // token the error echoes — the retired stateful commands included.
+  const std::vector<std::pair<std::string, std::string>> NotV2 = {
+      {"bogus", "bogus"},
+      {"solve", "solve"},
+      {"quit", "quit"},
+      {"help", "help"},
+      {"stats", "stats"},
+      {"desc a capital letter followed by 2 digits", "desc"},
+      {"pos A12", "pos"},
+      {"priority batch", "priority"},
+      {"topk x", "topk"},
+      {"V2 stats", "V2"},
+      {"v2stats", "v2stats"},
+      {"v3 submit id=1", "v3"},
+      {" v2 stats", ""},
+      {"\x01\x02\xff binary", "\x01\x02\xff"},
+  };
+  for (const auto &[Line, Token] : NotV2) {
+    Request Out;
+    EXPECT_EQ(decodeRequest(Line, Out), ErrorCode::UnknownCommand) << Line;
+    EXPECT_EQ(Out.K, Request::Kind::None) << Line;
+    EXPECT_EQ(Out.Text, Token) << Line;
+    expectAnswerableError(Line);
+  }
+  // The empty line stays a no-op, not an error.
+  Request Empty;
+  EXPECT_EQ(decodeRequest("", Empty), ErrorCode::None);
+  EXPECT_EQ(Empty.K, Request::Kind::None);
+
+  // An echoed token is cut to MaxEchoBytes, so even a frame-sized token
+  // of bytes that escape to three each answers with a decodable error.
+  for (const std::string &Line :
+       {std::string(MaxFrameBytes, '\xff'),
+        "v2 " + std::string(MaxFrameBytes - 3, '\xff'),
+        "v2 submit id=3 pri=" + std::string(MaxFrameBytes - 19, '\xff')})
+    expectAnswerableError(Line);
+
+  // Oversized input is rejected before parsing, whatever its prefix.
   std::string Huge = "v2 submit id=1 desc=";
   Huge.append(MaxFrameBytes + 10, 'x');
   Request Out;
   EXPECT_EQ(decodeRequest(Huge, Out), ErrorCode::Oversized);
-  // The rejection is addressable: version pinned to v2 and the id
-  // recovered, so the server's error frame reaches the right ticket.
-  EXPECT_EQ(Out.V, Version::V2);
+  // The rejection is addressable: the id is recovered, so the server's
+  // error frame reaches the right ticket.
   EXPECT_EQ(Out.Id, 1u);
-  // Value errors past the id likewise keep it for the error response.
-  EXPECT_EQ(decodeRequest("v2 submit id=7 budget=abc", Out),
+  expectAnswerableError(Huge);
+  // Value errors past the id likewise keep it for the error response,
+  // which echoes no part of the refused frame's description.
+  EXPECT_EQ(decodeRequest("v2 submit id=7 desc=" + std::string(30000, 'x') +
+                              " budget=abc",
+                          Out),
             ErrorCode::BadArgument);
   EXPECT_EQ(Out.Id, 7u);
-  std::string LongV1 = "desc ";
-  LongV1.append(MaxFrameBytes + 10, 'x');
-  EXPECT_EQ(decodeRequest(LongV1, Out), ErrorCode::None);
-  EXPECT_EQ(Out.K, Request::Kind::Desc);
+  EXPECT_EQ(Out.Text, "");
+  std::string LongLine = "desc ";
+  LongLine.append(MaxFrameBytes + 10, 'x');
+  EXPECT_EQ(decodeRequest(LongLine, Out), ErrorCode::Oversized);
 
   // Client-chosen ids span the full uint64 range and must round-trip
   // through response encoding unsigned.
@@ -585,6 +474,11 @@ TEST(ProtocolFuzz, RejectWithoutCrashTable) {
 
   const std::vector<std::string> BadResponses = {
       "",
+      "ok",
+      "queued 1",
+      "answer 1 Concat(<cap>,Repeat(<num>,2))",
+      "done 1 solved total_ms=1.0 exec_ms=1.0",
+      "regel ready; 'help' lists commands",
       "done",
       "done x",
       "done 3",
@@ -602,24 +496,26 @@ TEST(ProtocolFuzz, RejectWithoutCrashTable) {
       "v2 error msg=x",                  // no code
       "v2 error code=nonsense",
       "v2 health healthy=2",
+      "v2 health queue_depth=-1",
       "v2 metrics",                      // no text key
       "v2 trace id=1",                   // no json key
       "v2 trace json=x",                 // no id
       "v2 done id=1 status=solved trace=0", // zero trace id invalid
+      "v2 done id=1 status=solved total_ms=1e300", // beyond MaxMsArg
+      "v2 done id=1 status=solved exec_ms=inf",
+      "v2 health est_wait_ms=nan",
       "\x01\x02\x03 binary",
   };
   for (const std::string &Line : BadResponses) {
     Response R;
-    Version V = Line.rfind("v2", 0) == 0 ? Version::V2 : Version::V1;
-    EXPECT_NE(decodeResponse(Line, V, R), ErrorCode::None) << Line;
+    EXPECT_NE(decodeResponse(Line, Version::V2, R), ErrorCode::None) << Line;
   }
 }
 
 TEST(ProtocolFuzz, SeededRandomBytesNeverCrash) {
-  // 2000 random frames through all three decoders. Assertions are only
-  // "terminates, and garbage that accidentally decodes as a v1 command
-  // is one of the v1 kinds" — the point is memory safety under byte
-  // noise, deterministic via the fixed seed.
+  // 2000 random frames through both decoders. The only assertion is
+  // "terminates" — the point is memory safety under byte noise,
+  // deterministic via the fixed seed.
   Rng R(0xfeedface);
   for (int I = 0; I < 2000; ++I) {
     const size_t Len = R.nextBelow(120);
@@ -651,7 +547,6 @@ TEST(ProtocolFuzz, SeededRandomBytesNeverCrash) {
     Request Req;
     (void)decodeRequest(Line, Req);
     Response Res;
-    (void)decodeResponse(Line, Version::V1, Res);
     (void)decodeResponse(Line, Version::V2, Res);
   }
   SUCCEED();

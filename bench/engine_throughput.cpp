@@ -36,6 +36,8 @@
 //                            alternating on/off pairs of runs
 //   REGEL_SMT_CACHE          0 skips the smt_cache_on_vs_off section
 //                            (default 1)
+//   REGEL_PARSE_REPEATS      repeats of the parse_corpus section
+//                            (default 5, 0 skips)
 //
 // The smt_cache_on_vs_off section repeats the corpus cold+warm with the
 // SMT verdict store detached (EngineConfig::SmtMemo=false) and compares
@@ -49,14 +51,24 @@
 // queue residency doomed jobs burned and how fast they learned their
 // verdict under each policy.
 //
+// The parse_corpus section times the NL front end alone, on one thread:
+// training the DeepRegex parser the benches serve
+// (trainedParserForDeepRegex), then parsing the 62 StackOverflow and the
+// first 150 deepRegexSet(400, 1) descriptions to their top 10 sketches.
+// Each repeat trains and parses again; the row reports the median and
+// quartiles, and a digest of every top-10 list (sketch and %.17g score),
+// which must not change across repeats or with a parser speed-up.
+//
 //===----------------------------------------------------------------------===//
 
 #include "common/BenchUtil.h"
 
 #include "data/DeepRegexSet.h"
+#include "data/StackOverflowSet.h"
 #include "engine/Engine.h"
 #include "obs/Metrics.h"
 #include "regex/Parser.h"
+#include "support/Hash.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -335,6 +347,33 @@ double quantile(std::vector<double> V, double Q) {
   const size_t Lo = static_cast<size_t>(Pos);
   const size_t Hi = std::min(Lo + 1, V.size() - 1);
   return V[Lo] + (V[Hi] - V[Lo]) * (Pos - static_cast<double>(Lo));
+}
+
+/// One parse_corpus repeat: seconds to train, seconds to parse the corpus,
+/// and the digest of its top-10 lists.
+struct ParseRun {
+  double TrainS = 0, ParseS = 0;
+  uint64_t Digest = 0;
+};
+
+ParseRun runParseCorpus(const std::vector<std::string> &Descs) {
+  ParseRun Run;
+  Stopwatch Train;
+  std::shared_ptr<nlp::SemanticParser> Parser = trainedParserForDeepRegex();
+  Run.TrainS = Train.elapsedMs() / 1000.0;
+  Stopwatch Parse;
+  char Score[40];
+  for (const std::string &D : Descs) {
+    for (const nlp::ScoredSketch &S : Parser->parse(D, 10)) {
+      std::snprintf(Score, sizeof(Score), "%.17g ", S.Score);
+      for (const std::string &Part : {std::string(Score), printSketch(S.Sketch)})
+        for (char C : Part)
+          Run.Digest = mix64(Run.Digest ^ static_cast<unsigned char>(C));
+    }
+    Run.Digest = mix64(Run.Digest ^ '\n');
+  }
+  Run.ParseS = Parse.elapsedMs() / 1000.0;
+  return Run;
 }
 
 struct PassReport {
@@ -742,6 +781,51 @@ int main() {
         quantile(OverheadPct, 0.5), quantile(OverheadPct, 0.25),
         quantile(OverheadPct, 0.75));
     Json += ObsBuf;
+  }
+
+  const unsigned ParseRepeats =
+      static_cast<unsigned>(envInt("REGEL_PARSE_REPEATS", 5));
+  if (ParseRepeats > 0) {
+    std::vector<std::string> Descs;
+    for (const data::Benchmark &B : data::stackOverflowSet())
+      Descs.push_back(B.Description);
+    std::vector<data::Benchmark> Dr = data::deepRegexSet(400, 1);
+    for (size_t I = 0; I < 150 && I < Dr.size(); ++I)
+      Descs.push_back(Dr[I].Description);
+    std::printf("parse corpus: %u repeats of training the DeepRegex parser "
+                "and parsing %zu descriptions...\n",
+                ParseRepeats, Descs.size());
+    std::vector<double> TrainS, ParseS;
+    uint64_t Digest = 0;
+    for (unsigned R = 0; R < ParseRepeats; ++R) {
+      ParseRun Run = runParseCorpus(Descs);
+      std::printf("  repeat %u: train %.2f s, parse %.2f s, digest %016llx\n",
+                  R, Run.TrainS, Run.ParseS,
+                  static_cast<unsigned long long>(Run.Digest));
+      if (R > 0 && Run.Digest != Digest) {
+        std::fprintf(stderr, "parse corpus: top-10 digest changed between "
+                             "repeats\n");
+        return 1;
+      }
+      Digest = Run.Digest;
+      TrainS.push_back(Run.TrainS);
+      ParseS.push_back(Run.ParseS);
+    }
+    char ParseBuf[768];
+    std::snprintf(
+        ParseBuf, sizeof(ParseBuf),
+        ",\n  \"parse_corpus\": {\n    \"descriptions\": %zu,\n"
+        "    \"repeats\": %u,\n"
+        "    \"train_s\": %.3f,\n    \"train_s_q1\": %.3f,\n"
+        "    \"train_s_q3\": %.3f,\n"
+        "    \"parse_s\": %.3f,\n    \"parse_s_q1\": %.3f,\n"
+        "    \"parse_s_q3\": %.3f,\n"
+        "    \"top10_digest\": \"%016llx\"\n  }",
+        Descs.size(), ParseRepeats, quantile(TrainS, 0.5),
+        quantile(TrainS, 0.25), quantile(TrainS, 0.75), quantile(ParseS, 0.5),
+        quantile(ParseS, 0.25), quantile(ParseS, 0.75),
+        static_cast<unsigned long long>(Digest));
+    Json += ParseBuf;
   }
   Json += "\n}\n";
 

@@ -3,8 +3,12 @@
 #include "nlp/ChartParser.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <cmath>
 #include <initializer_list>
+#include <limits>
+#include <optional>
 
 using namespace regel;
 using namespace regel::nlp;
@@ -12,6 +16,9 @@ using namespace regel::nlp;
 namespace {
 
 class ChartSession {
+  /// Longest unary chain in the grammar (ConstSet to Root).
+  static constexpr size_t MaxChain = 4;
+
 public:
   ChartSession(const Grammar &G, const FeatureSpace &FS,
                const std::vector<Token> &Tokens,
@@ -19,11 +26,7 @@ public:
       : G(G), FS(FS), Tokens(Tokens), Weights(Weights), Cfg(Cfg) {
     N = static_cast<unsigned>(Tokens.size());
     Chart.resize(static_cast<size_t>(N + 1) * (N + 1));
-    for (const Rule &R : G.rules()) {
-      assert((R.Rhs.size() != 1 || R.Rhs[0] != R.Lhs) &&
-             "a unary rule must change the category (see buildCell)");
-      RulesByFirst[R.Rhs[0]].push_back(&R);
-    }
+    ImageTable.resize(G.rules().size() * FeatureSpace::SpanBuckets);
   }
 
   std::vector<Derivation> run() {
@@ -44,7 +47,11 @@ public:
 private:
   ChartCell &cell(unsigned I, unsigned J) { return Chart[I * (N + 1) + J]; }
 
-  double scoreOf(const FeatureVec &V) const { return dotFeatures(V, Weights); }
+  /// Sets the score of lexical item \p D, which fired one feature.
+  void score(Derivation &D) const {
+    D.Score = dotFeatures(D.Features, Weights);
+    D.Fired = 1;
+  }
 
   /// Lexical pass: phrases of lemmas, number tokens and quoted literals.
   void seedLexical() {
@@ -63,7 +70,7 @@ private:
             D.Category = E.Category;
             D.Val = E.Val;
             addFeature(D.Features, FS.lexFeature(E.Category), 1.0f);
-            D.Score = scoreOf(D.Features);
+            score(D);
             Lexical[I * (N + 1) + J].push_back(std::move(D));
           }
         }
@@ -74,7 +81,7 @@ private:
         D.Category = CatInt;
         D.Val = SemValue::intval(T.Value);
         addFeature(D.Features, FS.lexFeature(CatInt), 1.0f);
-        D.Score = scoreOf(D.Features);
+        score(D);
         Lexical[I * (N + 1) + (I + 1)].push_back(std::move(D));
       }
       if (T.Kind == TokenKind::Quoted && !T.Literal.empty()) {
@@ -93,7 +100,7 @@ private:
           D.Category = CatConst;
           D.Val = SemValue::regex(Regex::concatAll(Parts));
           addFeature(D.Features, FS.lexFeature(CatConst), 1.0f);
-          D.Score = scoreOf(D.Features);
+          score(D);
           Lexical[I * (N + 1) + (I + 1)].push_back(std::move(D));
         }
       }
@@ -103,15 +110,36 @@ private:
   /// Applies \p R to \p Kids and offers the result to the open cell. The
   /// merged features live in Scratch until the cell keeps the item; the
   /// score is dotFeatures over exactly that merged vector, so it matches
-  /// (bit for bit) the score of the vector the cell stores.
-  void tryApply(const Rule &R, std::initializer_list<const Derivation *> Kids,
-                unsigned SpanLen) {
+  /// (bit for bit) the score of the vector the cell stores. Returns what
+  /// the offer did, or nullopt when the rule rejects the children.
+  std::optional<CellBuilder::Outcome>
+  tryApply(const Rule &R, std::initializer_list<const Derivation *> Kids,
+           unsigned SpanLen) {
     Vals.clear();
     for (const Derivation *K : Kids)
       Vals.push_back(&K->Val);
     std::optional<SemValue> Res = R.Apply(Vals);
     if (!Res)
-      return;
+      return std::nullopt;
+    mergeKids(Kids);
+    uint32_t RuleIdx = static_cast<uint32_t>(&R - G.rules().data());
+    addFeature(Scratch, FS.ruleFeature(RuleIdx), 1.0f);
+    addFeature(Scratch, FS.spanFeature(R.Lhs, SpanLen), 1.0f);
+    Derivation D;
+    D.Category = R.Lhs;
+    D.Fired = 2;
+    for (const Derivation *K : Kids)
+      D.Fired += K->Fired;
+    D.Val = std::move(*Res);
+    D.Score = dotFeatures(Scratch, Weights);
+    return Builder.offer(D, D.Score, [this, &D] {
+      D.Features = Scratch;
+      return std::move(D);
+    });
+  }
+
+  /// Scratch = the merged feature vectors of \p Kids.
+  void mergeKids(std::initializer_list<const Derivation *> Kids) {
     const Derivation *const *K = Kids.begin();
     switch (Kids.size()) {
     case 1:
@@ -125,22 +153,352 @@ private:
       mergeFeaturesInto(Scratch, MergeTmp, K[2]->Features);
       break;
     }
-    uint32_t RuleIdx = static_cast<uint32_t>(&R - G.rules().data());
-    addFeature(Scratch, FS.ruleFeature(RuleIdx), 1.0f);
-    addFeature(Scratch, FS.spanFeature(R.Lhs, SpanLen), 1.0f);
-    Derivation D;
-    D.Category = R.Lhs;
-    D.Val = std::move(*Res);
-    D.Score = scoreOf(Scratch);
-    Builder.offer(D, D.Score, [this, &D] {
-      D.Features = Scratch;
-      return std::move(D);
-    });
+  }
+
+  /// An offered item or one of its unary images, as early rejection sees
+  /// it: its category, the rule and span feature ids it adds to its
+  /// children's features (sorted), and the sum of their weights.
+  struct Image {
+    Cat Target;
+    std::array<uint32_t, 2 + 2 * MaxChain> Ids;
+    size_t NumIds;
+    double Weight;
+  };
+
+  /// The images of an item of rule \p RuleIdx over \p SpanLen tokens: the
+  /// item itself, then one per unary chain from its category. Built once
+  /// per (rule, span bucket) and parse.
+  const std::vector<Image> &imagesOf(uint32_t RuleIdx, unsigned SpanLen) {
+    const unsigned Bucket =
+        std::min(SpanLen, FeatureSpace::SpanBuckets) - 1;
+    std::vector<Image> &Out =
+        ImageTable[RuleIdx * FeatureSpace::SpanBuckets + Bucket];
+    if (!Out.empty())
+      return Out;
+    const Cat Lhs = G.rules()[RuleIdx].Lhs;
+    const std::vector<UnaryChain> &Chains = G.unaryChains(Lhs);
+    Out.resize(1 + Chains.size());
+    for (size_t I = 0; I < Out.size(); ++I) {
+      Image &Im = Out[I];
+      Im.Target = I == 0 ? Lhs : Chains[I - 1].target();
+      Im.Ids[0] = FS.ruleFeature(RuleIdx);
+      Im.Ids[1] = FS.spanFeature(Lhs, SpanLen);
+      Im.NumIds = 2;
+      if (I > 0) {
+        const UnaryChain &Ch = Chains[I - 1];
+        assert(Ch.Rules.size() <= MaxChain && "unary chain too long");
+        for (size_t Step = 0; Step < Ch.Rules.size(); ++Step) {
+          Im.Ids[Im.NumIds++] = FS.ruleFeature(Ch.Rules[Step]);
+          Im.Ids[Im.NumIds++] = FS.spanFeature(Ch.Cats[Step], SpanLen);
+        }
+      }
+      std::sort(Im.Ids.begin(),
+                Im.Ids.begin() + static_cast<ptrdiff_t>(Im.NumIds));
+      Im.Weight = 0;
+      for (size_t K = 0; K < Im.NumIds; ++K)
+        if (Im.Ids[K] < Weights.size())
+          Im.Weight += Weights[Im.Ids[K]];
+    }
+    return Out;
+  }
+
+  /// Early rejection (see ChartParser.h): whether applying \p R to
+  /// \p Kids would give an item that is beaten in its category and whose
+  /// every unary image is beaten in its own.
+  ///
+  /// A first verdict adds the children's scores and the extra features'
+  /// weights. That sum differs from the exact score (dotFeatures over the
+  /// merged vector) only by rounding: by at most a few gamma_N times the
+  /// sum of |weight * value| over the features (Higham's bound for an
+  /// N-term dot product, applied to the children's sums, this sum and the
+  /// exact one), which the largest |weight| times the number of features
+  /// fired bounds. A verdict within a generous margin of that is settled
+  /// by the exact score, summed as dotFeatures sums the stored vector.
+  bool beatenEverywhere(const Rule &R,
+                        std::initializer_list<const Derivation *> Kids,
+                        unsigned SpanLen) {
+    if (!Builder.full(R.Lhs))
+      return false;
+    for (const UnaryChain &Ch : G.unaryChains(R.Lhs))
+      if (!Builder.full(Ch.target()))
+        return false;
+
+    const uint32_t RuleIdx = static_cast<uint32_t>(&R - G.rules().data());
+    const std::vector<Image> &Ims = imagesOf(RuleIdx, SpanLen);
+    double KidScores = 0;
+    uint32_t Fired = 0;
+    for (const Derivation *K : Kids) {
+      KidScores += K->Score;
+      Fired += K->Fired;
+    }
+    ImageScores.resize(Ims.size());
+    bool Unsure = false;
+    for (size_t I = 0; I < Ims.size(); ++I) {
+      const Image &Im = Ims[I];
+      const double Approx = KidScores + Im.Weight;
+      const double Cut = Builder.threshold(Im.Target);
+      const double Margin =
+          Slack * (MaxWeight * (Fired + Im.NumIds) + std::fabs(Cut));
+      if (Approx - Margin >= Cut)
+        return false;
+      if (Approx + Margin < Cut) {
+        // The exact score is below Approx + Margin, which is what the
+        // rejection is recorded with.
+        ImageScores[I] = Approx + Margin;
+        continue;
+      }
+      ImageScores[I] = std::numeric_limits<double>::quiet_NaN();
+      Unsure = true;
+    }
+    if (Unsure) {
+      mergeKids(Kids);
+      for (size_t I = 0; I < Ims.size(); ++I) {
+        if (!std::isnan(ImageScores[I]))
+          continue;
+        ImageScores[I] = dotFeaturesWith(Scratch, Ims[I].Ids.data(),
+                                         Ims[I].NumIds, Weights);
+        if (!Builder.beaten(Ims[I].Target, ImageScores[I]))
+          return false;
+      }
+    }
+    const uint32_t Stamp = Builder.stampDrop();
+    for (size_t I = 0; I < Ims.size(); ++I)
+      Builder.rejected(Ims[I].Target, ImageScores[I], Stamp);
+    Rejected = true;
+    return true;
+  }
+
+  /// For each listed item not scanned yet, finds the first dropped
+  /// composition of its identity that came before it and moves the item's
+  /// slot there (CellBuilder::slotAt): in a build without rejection, that
+  /// drop would have inserted the identity. Applies each drop of a listed
+  /// item's category once per call.
+  void scanDrops(std::vector<std::pair<Cat, uint32_t>> &Targets) {
+    std::sort(Targets.begin(), Targets.end());
+    Targets.erase(std::unique(Targets.begin(), Targets.end()), Targets.end());
+    for (size_t Begin = 0; Begin < Targets.size();) {
+      const Cat C = Targets[Begin].first;
+      size_t End = Begin;
+      Open.clear();
+      uint32_t LastStamp = 0;
+      for (; End < Targets.size() && Targets[End].first == C; ++End) {
+        CellBuilder::Item &It = Builder.item(C, Targets[End].second);
+        if (It.Scanned)
+          continue;
+        It.Scanned = true;
+        Open.push_back(Targets[End].second);
+        LastStamp = std::max(LastStamp, It.Inserted);
+      }
+      Begin = End;
+      const std::vector<Derivation> &Bucket = Builder.bucket(C);
+      uint32_t Stamp = FirstCompose;
+      forEachComposition([&](const Rule &R, auto Kids) {
+        if (Open.empty() || Stamp > LastStamp)
+          return false;
+        const uint32_t At = Stamp++;
+        if (!DroppedAt[At - FirstCompose] || R.Lhs != C)
+          return true;
+        Vals.clear();
+        for (const Derivation *K : Kids)
+          Vals.push_back(&K->Val);
+        std::optional<SemValue> Res = R.Apply(Vals);
+        if (!Res)
+          return true;
+        const size_t Hash = Res->hash();
+        for (size_t I = 0; I < Open.size(); ++I) {
+          const Derivation &D = Bucket[Open[I]];
+          if (Builder.item(C, Open[I]).Inserted < At ||
+              D.Val.hash() != Hash || !(D.Val == *Res))
+            continue;
+          Builder.slotAt(C, Open[I], At);
+          Open.erase(Open.begin() + static_cast<ptrdiff_t>(I));
+          break;
+        }
+        return true;
+      });
+    }
+  }
+
+  /// Whether a closure offer into category \p X by unary rule \p U from
+  /// category \p From is the first offer of its identity in a build
+  /// without rejection too, given that its source is: dropped items live
+  /// only in touched categories, and a result of U equals no result of
+  /// another unary rule into X that such an item could offer before (one
+  /// walked no later) — and, U being injective, none of U's own from an
+  /// item of another identity.
+  bool routeKeepsFirst(Cat X, Cat From, uint32_t U) const {
+    const int Shape = G.rules()[U].Shape;
+    if (Shape < 0)
+      return false;
+    for (unsigned Y = 0; Y <= From; ++Y) {
+      if (!Builder.touched(static_cast<Cat>(Y)))
+        continue;
+      for (uint32_t V : G.unaryFrom(static_cast<Cat>(Y))) {
+        const Rule &R = G.rules()[V];
+        if (V != U && R.Lhs == X && (R.Shape < 0 || R.Shape == Shape))
+          return false;
+      }
+    }
+    return true;
+  }
+
+  /// Appends to \p Key where item \p Idx of category \p C is first offered
+  /// in a build without rejection, in a form that compares like those
+  /// positions: (0, slot) before the closure, else (1, source category,
+  /// the source's key, rule position) for an item of the closure's first
+  /// round. Returns false when that position is unknown. The item and its
+  /// closure sources must have been through scanDrops.
+  bool firstOffer(Cat C, uint32_t Idx, std::vector<uint64_t> &Key) {
+    const CellBuilder::Item &It = Builder.item(C, Idx);
+    if (It.Round == 0 || !Builder.slotInClosure(C, Idx)) {
+      Key.push_back(0);
+      Key.push_back(It.Slot);
+      return true;
+    }
+    const Cat From = static_cast<Cat>(It.SourceCat);
+    if (It.Round != 1 || !routeKeepsFirst(C, From, It.Rule))
+      return false;
+    Key.push_back(1);
+    Key.push_back(From);
+    if (!firstOffer(From, It.SourceIdx, Key))
+      return false;
+    const std::vector<uint32_t> &Unary = G.unaryFrom(From);
+    Key.push_back(static_cast<uint64_t>(
+        std::find(Unary.begin(), Unary.end(), It.Rule) - Unary.begin()));
+    return true;
+  }
+
+  /// Adds item \p Idx of category \p C and its closure sources to
+  /// \p Targets.
+  void withSources(Cat C, uint32_t Idx,
+                   std::vector<std::pair<Cat, uint32_t>> &Targets) {
+    for (;;) {
+      Targets.push_back({C, Idx});
+      const CellBuilder::Item &It = Builder.item(C, Idx);
+      if (It.Round == 0)
+        return;
+      C = static_cast<Cat>(It.SourceCat);
+      Idx = It.SourceIdx;
+    }
+  }
+
+  /// Orders the late ties of every touched category (CellBuilder::lateTies)
+  /// as a build without rejection would: by where each tied item's
+  /// identity is first offered there (firstOffer). Returns false when that
+  /// is unknown for some tied item.
+  bool settleLateTies() {
+    std::vector<uint32_t> Members;
+    std::vector<std::pair<Cat, uint32_t>> Targets;
+    std::vector<std::pair<std::vector<uint64_t>, uint32_t>> Keyed;
+    std::vector<uint32_t> Slots;
+    for (unsigned From = 0; From < NumCats; ++From) {
+      const Cat C = static_cast<Cat>(From);
+      Builder.lateTies(C, Members);
+      if (Members.empty())
+        continue;
+      Targets.clear();
+      for (uint32_t M : Members)
+        withSources(C, M, Targets);
+      scanDrops(Targets);
+      const std::vector<Derivation> &Bucket = Builder.bucket(C);
+      // lateTies lists the tied items by score; settle each tie group.
+      for (size_t Begin = 0; Begin < Members.size();) {
+        size_t End = Begin + 1;
+        while (End < Members.size() &&
+               Bucket[Members[End]].Score == Bucket[Members[Begin]].Score)
+          ++End;
+        Keyed.clear();
+        Slots.clear();
+        for (size_t I = Begin; I < End; ++I) {
+          Keyed.emplace_back();
+          Keyed.back().second = Members[I];
+          if (!firstOffer(C, Members[I], Keyed.back().first))
+            return false;
+          Slots.push_back(Builder.item(C, Members[I]).Order);
+        }
+        // The group's slots are later than every untied item of its score,
+        // so handing them out in first-offer order orders the group.
+        std::sort(Keyed.begin(), Keyed.end());
+        std::sort(Slots.begin(), Slots.end());
+        for (size_t I = 0; I < Keyed.size(); ++I)
+          Builder.setOrder(C, Keyed[I].second, Slots[I]);
+        Begin = End;
+      }
+    }
+    return true;
+  }
+
+  /// Whether the closure round that just ended would have counted as
+  /// progress in a build without rejection too: some item it inserted,
+  /// from an item that was there before the closure, was certainly new
+  /// there (no drop before had its identity, and its route keeps first
+  /// offers first).
+  bool roundCertainlyProgressed() {
+    scanDrops(RoundNew);
+    for (const auto &[C, Idx] : RoundNew)
+      if (Builder.slotInClosure(C, Idx))
+        return true;
+    return false;
+  }
+
+  /// Calls \p F(Rule, Kids) for every binary and ternary composition over
+  /// exact adjacent splits of the open cell, in the order the chart offers
+  /// them, while F returns true.
+  template <typename Fn> void forEachComposition(Fn &&F) {
+    for (unsigned K = CurI + 1; K < CurJ; ++K) {
+      ChartCell &Left = cell(CurI, K);
+      for (const RuleGroup &Group : G.rulesByFirst()) {
+        const std::vector<Derivation> &LeftBucket = Left.ByCat[Group.First];
+        if (LeftBucket.empty())
+          continue;
+        for (uint32_t RuleIdx : Group.Rules) {
+          const Rule &R = G.rules()[RuleIdx];
+          if (R.Rhs.size() == 2) {
+            const auto &RightBucket = cell(K, CurJ).ByCat[R.Rhs[1]];
+            for (const Derivation &L : LeftBucket)
+              for (const Derivation &Rt : RightBucket)
+                if (!F(R, std::initializer_list<const Derivation *>{&L, &Rt}))
+                  return;
+            continue;
+          }
+          if (R.Rhs.size() == 3) {
+            for (unsigned K2 = K + 1; K2 < CurJ; ++K2) {
+              const auto &MidBucket = cell(K, K2).ByCat[R.Rhs[1]];
+              if (MidBucket.empty())
+                continue;
+              const auto &RightBucket = cell(K2, CurJ).ByCat[R.Rhs[2]];
+              for (const Derivation &L : LeftBucket)
+                for (const Derivation &M : MidBucket)
+                  for (const Derivation &Rt : RightBucket)
+                    if (!F(R, std::initializer_list<const Derivation *>{
+                                  &L, &M, &Rt}))
+                      return;
+            }
+          }
+        }
+      }
+    }
   }
 
   void buildCell(unsigned I, unsigned J) {
     ChartCell &C = cell(I, J);
-    Builder.start(C);
+    if (fillCell(I, J, /*Reject=*/true))
+      return;
+    C = ChartCell();
+    fillCell(I, J, /*Reject=*/false);
+  }
+
+  /// Fills cell (I, J), dropping compositions early when \p Reject is set.
+  /// Returns false when a drop could have changed the cell (see
+  /// ChartParser.h); the cell must then be rebuilt without dropping.
+  bool fillCell(unsigned I, unsigned J, bool Reject) {
+    ChartCell &C = cell(I, J);
+    Builder.start(C, Cfg.BeamPerCat);
+    Rejecting = Reject;
+    Rejected = false;
+    DroppedAt.clear();
+    CurI = I;
+    CurJ = J;
     unsigned Len = J - I;
 
     // Skip-extension: inherit from the two sub-spans one token shorter,
@@ -153,7 +511,7 @@ private:
         for (const auto &Bucket : From->ByCat)
           for (const Derivation &D : Bucket) {
             const double Score =
-                dotFeaturesWith(D.Features, Skip, 1.0f, Weights);
+                dotFeaturesWith(D.Features, &Skip, 1, Weights);
             Builder.offer(D, Score, [&D, Skip, Score] {
               Derivation E;
               E.Category = D.Category;
@@ -162,6 +520,7 @@ private:
               E.Features = D.Features;
               addFeature(E.Features, Skip, 1.0f);
               E.Score = Score;
+              E.Fired = D.Fired + 1;
               return E;
             });
           }
@@ -171,60 +530,93 @@ private:
     for (const Derivation &D : Lexical[I * (N + 1) + J])
       Builder.offer(D, D.Score, [&D] { return D; });
 
-    // Binary and ternary composition over exact adjacent splits.
-    for (unsigned K = I + 1; K < J; ++K) {
-      ChartCell &Left = cell(I, K);
-      for (auto &[FirstCat, Rules] : RulesByFirst) {
-        const std::vector<Derivation> &LeftBucket = Left.ByCat[FirstCat];
-        if (LeftBucket.empty())
+    // Binary and ternary composition over exact adjacent splits. Each one
+    // takes exactly one stamp, offered, dropped or rejected by its rule,
+    // so scanDrops can replay them by stamp.
+    FirstCompose = Builder.nextStamp();
+    forEachComposition([this, Len](const Rule &R, auto Kids) {
+      if (Rejecting && beatenEverywhere(R, Kids, Len)) {
+        DroppedAt.push_back(true);
+        return true;
+      }
+      DroppedAt.push_back(false);
+      if (!tryApply(R, Kids, Len))
+        Builder.stampDrop();
+      return true;
+    });
+
+    // Unary closure (CC -> PROGRAM -> LIST -> SKETCH -> ROOT). No unary
+    // rule keeps its category (see Grammar::buildRuleTables), so adding a
+    // result never grows or rewrites the bucket being walked: its items
+    // can be read in place. After a drop, it also watches for the cases
+    // in which the drop could have changed the cell (see ChartParser.h).
+    bool Doubt = false;
+    Builder.startClosure();
+    for (unsigned Round = 0; Round < 4 && !Doubt; ++Round) {
+      size_t Before = C.Count;
+      std::array<bool, NumCats> Walked{};
+      bool Pending = false;
+      RoundNew.clear();
+      for (unsigned From = 0; From < NumCats; ++From) {
+        const Cat FromCat = static_cast<Cat>(From);
+        const std::vector<uint32_t> &Unary = G.unaryFrom(FromCat);
+        if (Unary.empty())
           continue;
-        for (const Rule *R : Rules) {
-          if (R->Rhs.size() == 2) {
-            const auto &RightBucket = cell(K, J).ByCat[R->Rhs[1]];
-            for (const Derivation &L : LeftBucket)
-              for (const Derivation &Rt : RightBucket)
-                tryApply(*R, {&L, &Rt}, Len);
+        size_t BucketSize = C.ByCat[FromCat].size();
+        for (size_t Idx = 0; Idx < BucketSize; ++Idx) {
+          const uint32_t Src = static_cast<uint32_t>(Idx);
+          if (!Builder.takeFresh(FromCat, Src))
             continue;
-          }
-          if (R->Rhs.size() == 3) {
-            for (unsigned K2 = K + 1; K2 < J; ++K2) {
-              const auto &MidBucket = cell(K, K2).ByCat[R->Rhs[1]];
-              if (MidBucket.empty())
-                continue;
-              const auto &RightBucket = cell(K2, J).ByCat[R->Rhs[2]];
-              for (const Derivation &L : LeftBucket)
-                for (const Derivation &M : MidBucket)
-                  for (const Derivation &Rt : RightBucket)
-                    tryApply(*R, {&L, &M, &Rt}, Len);
+          const Derivation &D = C.ByCat[FromCat][Idx];
+          const bool Suspect = Rejected && Builder.suspect(FromCat, Src);
+          for (uint32_t RuleIdx : Unary) {
+            const Rule &R = G.rules()[RuleIdx];
+            std::optional<CellBuilder::Outcome> O = tryApply(R, {&D}, Len);
+            if (!Rejected || !O || *O == CellBuilder::Outcome::Dropped)
+              continue;
+            const bool Changed = *O != CellBuilder::Outcome::Tied;
+            if (*O == CellBuilder::Outcome::Inserted) {
+              Builder.setOrigin(Round + 1, FromCat, Src, RuleIdx);
+              if (RoundNew.size() < 8 && Builder.item(FromCat, Src).Round == 0 &&
+                  routeKeepsFirst(R.Lhs, FromCat, RuleIdx))
+                RoundNew.push_back(
+                    {R.Lhs, static_cast<uint32_t>(C.ByCat[R.Lhs].size() - 1)});
+            }
+            if (Changed && Walked[R.Lhs])
+              Pending = true;
+            if (Suspect) {
+              if (!Builder.beaten(R.Lhs, Builder.lastItem().Score))
+                Doubt = true;
+              Builder.setSuspect(true);
+            } else if (!Changed) {
+              // Two closure offers of one identity tie: the first one the
+              // closure walks keeps its features, and drops can change the
+              // walk order of late items.
+              if (Builder.touched(R.Lhs) && Builder.lastSetInClosure() &&
+                  Builder.lastItem().Features != Scratch)
+                Doubt = true;
+            } else {
+              Builder.setSuspect(false);
             }
           }
         }
+        // Only a walked category with unary rules of its own leaves a
+        // later change unpropagated until the next round.
+        Walked[FromCat] = true;
       }
-    }
-
-    // Unary closure (CC -> PROGRAM -> LIST -> SKETCH -> ROOT). No unary
-    // rule keeps its category (see the constructor), so adding a result
-    // never grows or rewrites the bucket being walked: its items can be
-    // read in place.
-    for (unsigned Round = 0; Round < 4; ++Round) {
-      size_t Before = C.Count;
-      for (unsigned Cat = 0; Cat < NumCats; ++Cat) {
-        auto It = RulesByFirst.find(Cat);
-        if (It == RulesByFirst.end())
-          continue;
-        size_t BucketSize = C.ByCat[Cat].size();
-        for (size_t Idx = 0; Idx < BucketSize; ++Idx) {
-          const Derivation &D = C.ByCat[Cat][Idx];
-          for (const Rule *R : It->second)
-            if (R->Rhs.size() == 1)
-              tryApply(*R, {&D}, Len);
-        }
-      }
+      // A change behind the walk waits for the next round, which runs only
+      // if this one inserted something; a drop's identity could have made
+      // that differ.
+      if (Pending && (Round > 0 || !roundCertainlyProgressed()))
+        Doubt = true;
       if (C.Count == Before)
         break;
     }
 
-    Builder.finish(Cfg.BeamPerCat);
+    if (Rejected && !Doubt)
+      Doubt = !settleLateTies();
+    Builder.finish();
+    return !Doubt;
   }
 
   const Grammar &G;
@@ -235,12 +627,39 @@ private:
   unsigned N;
   std::vector<ChartCell> Chart;
   CellBuilder Builder;
+  /// Whether the open cell may drop compositions, and whether it has.
+  bool Rejecting = false, Rejected = false;
   /// tryApply's reused buffers: the children's values, and the merged
   /// feature vector (plus the ternary merge's intermediate).
   std::vector<const SemValue *> Vals;
   FeatureVec Scratch, MergeTmp;
+  std::vector<std::vector<Image>> ImageTable;
+  std::vector<double> ImageScores;
+  /// The open cell's span, the stamp of its first composition, and
+  /// whether each composition (by stamp from there) was dropped.
+  unsigned CurI = 0, CurJ = 0;
+  uint32_t FirstCompose = 0;
+  std::vector<bool> DroppedAt;
+  /// scanDrops' open items; closure insertions a round may count on.
+  std::vector<uint32_t> Open;
+  std::vector<std::pair<Cat, uint32_t>> RoundNew;
+  /// Rounding margin per unit of sum |weight * value|: 16 gamma_N, N
+  /// covering any merged feature vector plus the extra ids (the error
+  /// bound needs about 3 gamma_N; the rest absorbs the margin's own
+  /// rounding).
+  const double Slack = [this] {
+    const double N = FS.size() + 2 + 2 * MaxChain;
+    const double U = std::ldexp(1.0, -53);
+    return 16 * N * U / (1 - N * U);
+  }();
+  /// The largest |weight|.
+  const double MaxWeight = [this] {
+    double Max = 0;
+    for (double W : Weights)
+      Max = std::max(Max, std::fabs(W));
+    return Max;
+  }();
   std::vector<std::vector<Derivation>> Lexical;
-  std::unordered_map<uint16_t, std::vector<const Rule *>> RulesByFirst;
 };
 
 } // namespace

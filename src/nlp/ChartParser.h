@@ -6,6 +6,39 @@
 // skipped (each skip extends a derivation's span by one token and fires a
 // skip feature); every cell keeps a score beam.
 //
+// Early rejection. A binary or ternary composition is scored before
+// Rule::Apply runs, from its children's scores plus the weights of the
+// rule and span features it adds; a margin of a few rounding units per
+// unit of mass separates that sum from the exact score, and inside the
+// margin the exact score is summed as dotFeatures sums the stored vector,
+// so every verdict holds for the bit-exact score. The composition is
+// dropped there, never applied, when
+//   * BeamPerCat distinct identities of its category already score
+//     strictly higher (a tie is kept: an equal-score item that arrived
+//     earlier wins the beam's stable sort), and the bucket holds at least
+//     one item more than that (so a drop never decides whether it is cut);
+//   * the same holds, in the target category, for each image of the item
+//     under every chain of unary rules (CC/Const/ConstSet -> PROGRAM ->
+//     LIST -> SKETCH -> ROOT, DECNUM -> SKETCH), scored the same way: the
+//     unary closure reads pre-beam items, so an item beaten in its own
+//     bucket can still place an image in another.
+// A drop's identity is unknown, yet in the plain algorithm it would hold
+// a slot, and slots break ties. So the cell settles, before its beams cut,
+// the order of every tie among items that arrived after a drop touching
+// their category: an item takes the slot of the first dropped offer of
+// its identity (found by applying the drops of its category that came
+// before it), and an item the closure inserted takes the place its source
+// holds in the closure's walk (Rule::Shape says which unary rules keep
+// that order). The cell rebuilds itself without dropping in the few cases
+// it cannot settle: a tie whose place stays unknown; a closure round that
+// changes a category it already walked while no item it inserted is
+// certainly new; an item a drop could have replaced placing a closure
+// image that is not beaten; two closure offers of one identity tying with
+// different features. Kept items, their features, scores and order are
+// therefore exactly those of the plain algorithm, which
+// tests/nlp/ReferenceChart keeps as a frozen copy (ChartRejectionTest and
+// fuzz/chart_fuzz.cpp compare the two).
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef REGEL_NLP_CHARTPARSER_H
@@ -14,8 +47,11 @@
 #include "nlp/Derivation.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace regel::nlp {
@@ -36,6 +72,13 @@ struct ChartCell {
 /// by their full (category, semantics) identity with best-score wins. A
 /// parse builds its cells one after another and never writes a finished
 /// cell again, so one builder (and one index) serves them all.
+///
+/// For early rejection it also keeps, per category, the scores of the
+/// BeamPerCat best distinct identities so far (a replacement updates its
+/// identity's score, it never takes a second place), and per item the
+/// bookkeeping the parser needs to prove that the drops it made did not
+/// change the beam (see the file comment). Offers are stamped in arrival
+/// order; a drop is recorded at the stamp the next offer will get.
 class CellBuilder {
 public:
   /// Bucket hash of a derivation's identity. Identity is always the full
@@ -44,6 +87,35 @@ public:
   /// Derivation::keyHash.
   using HashFn = size_t (*)(const Derivation &);
 
+  /// Per-item bookkeeping.
+  struct Item {
+    uint32_t Inserted; ///< stamp of the offer that inserted it
+    uint32_t LastSet;  ///< stamp of the offer that set its derivation
+    /// The stamp of its identity's first offer as far as known: Inserted,
+    /// or an earlier drop's (slotAt()).
+    uint32_t Slot;
+    /// Orders ties at the cut: Slot, or see setOrder().
+    uint32_t Order;
+    bool Suspect;      ///< see suspect()
+    bool Fresh;        ///< see takeFresh()
+    bool Scanned;      ///< the parser looked for drops of its identity
+    /// Where the unary closure inserted it: the round (1-based; 0 for an
+    /// item that arrived before the closure), the source item and rule.
+    uint8_t Round;
+    uint16_t SourceCat;
+    uint32_t SourceIdx, Rule;
+  };
+
+  static constexpr uint32_t NoStamp = UINT32_MAX;
+
+  /// What an offer did to the cell.
+  enum class Outcome : uint8_t {
+    Inserted, ///< a new identity
+    Replaced, ///< a better score for an identity already there
+    Tied,     ///< the identity is there with exactly this score
+    Dropped,  ///< the identity is there with a better score
+  };
+
   explicit CellBuilder(HashFn H = nullptr)
       : Index(0, SlotIdentity{this, H}, SlotIdentity{this, H}) {}
 
@@ -51,13 +123,26 @@ public:
   CellBuilder(const CellBuilder &) = delete;
   CellBuilder &operator=(const CellBuilder &) = delete;
 
-  /// Starts filling the empty cell \p C.
-  void start(ChartCell &C) { Cell = &C; }
+  /// Starts filling the empty cell \p C, whose beam keeps \p BeamPerCat
+  /// items per category.
+  void start(ChartCell &C, unsigned BeamPerCat) {
+    Cell = &C;
+    Beam = BeamPerCat;
+    Clock = 0;
+    ClosureStart = NoStamp;
+    for (CatState &S : Cats) {
+      S.Top.clear();
+      S.Items.clear();
+      S.FirstTouch = NoStamp;
+      S.MaxRejected = -std::numeric_limits<double>::infinity();
+      S.Reordered = false;
+    }
+  }
 
   /// Adds \p D to the cell, or keeps the better-scored of it and the item
   /// with the same identity already there.
-  void add(Derivation D) {
-    offer(D, D.Score, [&D] { return std::move(D); });
+  Outcome add(Derivation D) {
+    return offer(D, D.Score, [&D] { return std::move(D); });
   }
 
   /// Offers an item with \p Key's identity (category and semantics) and
@@ -65,38 +150,183 @@ public:
   /// the cell keeps it (a new identity, or a better score than the
   /// holder). The many items a cell drops thus never copy a value or
   /// allocate a feature vector. \p Key is not read after Make runs.
+  /// lastItem() then names the item of Key's identity.
   template <typename MakeItem>
-  void offer(const Derivation &Key, double Score, MakeItem &&Make) {
+  Outcome offer(const Derivation &Key, double Score, MakeItem &&Make) {
     const uint16_t C = Key.Category;
+    const uint32_t Stamp = Clock++;
     Probe = &Key;
     auto It = Index.find({C, ProbeIdx});
     Probe = nullptr;
     if (It != Index.end()) {
+      Last = *It;
       Derivation &Old = Cell->ByCat[It->Category][It->Idx];
-      if (Old.Score < Score)
-        Old = Make();
-      return;
+      if (Old.Score > Score)
+        return Outcome::Dropped;
+      if (Old.Score == Score)
+        return Outcome::Tied;
+      Old = Make();
+      Item &Info = Cats[C].Items[It->Idx];
+      Info.LastSet = Stamp;
+      Info.Fresh = true;
+      raise(C, It->Idx, Score);
+      return Outcome::Replaced;
     }
     Cell->ByCat[C].push_back(Make());
-    Index.insert({C, static_cast<uint32_t>(Cell->ByCat[C].size() - 1)});
+    const uint32_t Idx = static_cast<uint32_t>(Cell->ByCat[C].size() - 1);
+    Index.insert({C, Idx});
+    Last = {C, Idx};
+    Cats[C].Items.push_back(
+        {Stamp, Stamp, Stamp, Stamp, false, true, false, 0, 0, 0, 0});
+    raise(C, Idx, Score);
     ++Cell->Count;
+    return Outcome::Inserted;
+  }
+
+  /// The item the last offer inserted, replaced or found.
+  Derivation &lastItem() { return Cell->ByCat[Last.Category][Last.Idx]; }
+
+  /// Marks the start of the unary closure.
+  void startClosure() { ClosureStart = Clock; }
+
+  /// Whether the last item's derivation was set by an offer of the unary
+  /// closure.
+  bool lastSetInClosure() const {
+    return Cats[Last.Category].Items[Last.Idx].LastSet >= ClosureStart;
+  }
+
+  /// Whether an item of category \p C scoring \p Score could be dropped
+  /// without changing whether, or how, the bucket's beam cuts: the bucket
+  /// holds more than BeamPerCat items, and BeamPerCat distinct identities
+  /// among them score strictly higher.
+  bool beaten(Cat C, double Score) const {
+    return full(C) && Score < Cats[C].Top.back().first;
+  }
+
+  /// The score beaten() compares with; only meaningful when full(C).
+  double threshold(Cat C) const { return Cats[C].Top.back().first; }
+
+  /// Whether beaten() can hold for some score in category \p C.
+  bool full(Cat C) const {
+    return Cell->ByCat[C].size() > Beam && Cats[C].Top.size() == Beam;
+  }
+
+  /// Stamps an offer that is dropped unapplied (or that the rule rejects).
+  uint32_t stampDrop() { return Clock++; }
+
+  /// The stamp the next offer or drop gets.
+  uint32_t nextStamp() const { return Clock; }
+
+  /// Records that the offer dropped at \p Stamp had an image in category
+  /// \p C scoring at most \p Score.
+  void rejected(Cat C, double Score, uint32_t Stamp) {
+    CatState &S = Cats[C];
+    S.FirstTouch = std::min(S.FirstTouch, Stamp);
+    S.MaxRejected = std::max(S.MaxRejected, Score);
+  }
+
+  /// Whether a dropped offer could have had an image in category \p C.
+  bool touched(Cat C) const { return Cats[C].FirstTouch != NoStamp; }
+
+  /// Whether item \p Idx of category \p C may hold another derivation than
+  /// a build without rejection would: a dropped offer of the same identity
+  /// could have replaced it, or it came from such an item. Such items are
+  /// beaten; the parser checks that their closure images are too.
+  bool suspect(Cat C, uint32_t Idx) const {
+    const CatState &S = Cats[C];
+    return S.Items[Idx].Suspect ||
+           (S.FirstTouch != NoStamp &&
+            Cell->ByCat[C][Idx].Score <= S.MaxRejected);
+  }
+  void setSuspect(bool Flag) {
+    Cats[Last.Category].Items[Last.Idx].Suspect = Flag;
+  }
+
+  /// Whether item \p Idx of category \p C was inserted or replaced since
+  /// the last call for it; clears the mark. The unary closure walks only
+  /// such items again: an unchanged item would offer exactly what it
+  /// offered before, which changes nothing.
+  bool takeFresh(Cat C, uint32_t Idx) {
+    return std::exchange(Cats[C].Items[Idx].Fresh, false);
+  }
+
+  /// The items of touched category \p C whose place in a build without
+  /// rejection is not known: they arrived after the category's first drop,
+  /// reach its beam, and tie in score with another such item. (A later
+  /// item of a dropped identity would have kept the dropped one's earlier
+  /// slot, and slots order ties.)
+  void lateTies(Cat C, std::vector<uint32_t> &Out) const {
+    Out.clear();
+    const CatState &S = Cats[C];
+    if (S.FirstTouch == NoStamp)
+      return;
+    const double Cut = S.Top.back().first;
+    const std::vector<Derivation> &Bucket = Cell->ByCat[C];
+    for (uint32_t I = 0; I < Bucket.size(); ++I)
+      if (S.Items[I].Inserted >= S.FirstTouch && Bucket[I].Score >= Cut)
+        Out.push_back(I);
+    std::sort(Out.begin(), Out.end(), [&Bucket](uint32_t A, uint32_t B) {
+      return Bucket[A].Score < Bucket[B].Score;
+    });
+    size_t Kept = 0;
+    for (size_t I = 0; I < Out.size(); ++I)
+      if ((I > 0 && Bucket[Out[I - 1]].Score == Bucket[Out[I]].Score) ||
+          (I + 1 < Out.size() &&
+           Bucket[Out[I + 1]].Score == Bucket[Out[I]].Score))
+        Out[Kept++] = Out[I];
+    Out.resize(Kept);
+  }
+
+  /// The bookkeeping of item \p Idx of category \p C.
+  Item &item(Cat C, uint32_t Idx) { return Cats[C].Items[Idx]; }
+
+  /// Records where the unary closure inserted the last item.
+  void setOrigin(unsigned Round, Cat SourceCat, uint32_t SourceIdx,
+                 uint32_t Rule) {
+    Item &I = Cats[Last.Category].Items[Last.Idx];
+    I.Round = static_cast<uint8_t>(Round);
+    I.SourceCat = SourceCat;
+    I.SourceIdx = SourceIdx;
+    I.Rule = Rule;
+  }
+
+  /// Whether the slot of item \p Idx of category \p C is one the unary
+  /// closure gave it.
+  bool slotInClosure(Cat C, uint32_t Idx) const {
+    return Cats[C].Items[Idx].Slot >= ClosureStart;
+  }
+
+  /// Reorders ties at the cut by giving item \p Idx of category \p C
+  /// order \p Order.
+  void setOrder(Cat C, uint32_t Idx, uint32_t Order) {
+    Cats[C].Items[Idx].Order = Order;
+    Cats[C].Reordered = true;
+  }
+
+  /// The open cell's items of category \p C.
+  const std::vector<Derivation> &bucket(Cat C) const { return Cell->ByCat[C]; }
+
+  /// The offer dropped at \p Stamp had item \p Idx's identity: the item's
+  /// slot, which orders it among ties, is that of the drop.
+  void slotAt(Cat C, uint32_t Idx, uint32_t Stamp) {
+    Item &I = Cats[C].Items[Idx];
+    I.Slot = I.Order = std::min(I.Slot, Stamp);
+    Cats[C].Reordered = true;
   }
 
   /// Applies the beam per category, so junk in one category can never
-  /// flush another category's derivations out of the cell, and ends it.
+  /// flush another category's derivations out of the cell, and ends it:
+  /// a bucket with more than BeamPerCat items keeps the best, ties broken
+  /// by slot (arrival order, or an earlier drop's slot after slotAt()).
   /// Each bucket gives back the capacity its pre-beam candidates grew:
   /// the chart keeps every cell until the parse ends, so spare capacity
   /// would otherwise outlive the cell's construction in all of them.
-  void finish(unsigned BeamPerCat) {
+  void finish() {
     size_t Kept = 0;
-    for (auto &Bucket : Cell->ByCat) {
-      if (Bucket.size() > BeamPerCat) {
-        std::stable_sort(Bucket.begin(), Bucket.end(),
-                         [](const Derivation &A, const Derivation &B) {
-                           return A.Score > B.Score;
-                         });
-        Bucket.resize(BeamPerCat);
-      }
+    for (unsigned C = 0; C < NumCats; ++C) {
+      std::vector<Derivation> &Bucket = Cell->ByCat[C];
+      if (Bucket.size() > Beam)
+        cut(static_cast<Cat>(C), Bucket);
       if (Bucket.capacity() > Bucket.size())
         Bucket.shrink_to_fit();
       Kept += Bucket.size();
@@ -132,9 +362,72 @@ private:
     }
   };
 
+  struct CatState {
+    /// The BeamPerCat best (score, item index) pairs, best first.
+    std::vector<std::pair<double, uint32_t>> Top;
+    std::vector<Item> Items;
+    /// Stamp of the first drop touching this category, and the best score
+    /// a dropped offer's image here had.
+    uint32_t FirstTouch = NoStamp;
+    double MaxRejected = -std::numeric_limits<double>::infinity();
+    /// Whether some item's Order is not its Inserted stamp.
+    bool Reordered = false;
+  };
+
+  /// Item \p Idx of category \p C now scores \p Score (it is new or just
+  /// improved): updates the category's best-distinct list.
+  void raise(uint16_t C, uint32_t Idx, double Score) {
+    auto &Top = Cats[C].Top;
+    auto It = std::find_if(Top.begin(), Top.end(),
+                           [Idx](const auto &P) { return P.second == Idx; });
+    if (It == Top.end()) {
+      if (Top.size() == Beam && Score <= Top.back().first)
+        return;
+      if (Top.size() < Beam)
+        Top.emplace_back();
+      It = Top.end() - 1;
+      It->second = Idx;
+    }
+    It->first = Score;
+    for (; It != Top.begin() && (It - 1)->first < It->first; --It)
+      std::iter_swap(It, It - 1);
+  }
+
+  /// Keeps the BeamPerCat best items of \p Bucket, best first, ties in
+  /// slot order.
+  void cut(Cat C, std::vector<Derivation> &Bucket) {
+    const auto Better = [](const Derivation &A, const Derivation &B) {
+      return A.Score > B.Score;
+    };
+    if (!Cats[C].Reordered) {
+      std::stable_sort(Bucket.begin(), Bucket.end(), Better);
+      Bucket.resize(Beam);
+      return;
+    }
+    const std::vector<Item> &Items = Cats[C].Items;
+    std::vector<uint32_t> Order(Bucket.size());
+    for (uint32_t I = 0; I < Order.size(); ++I)
+      Order[I] = I;
+    std::sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t B) {
+      if (Bucket[A].Score != Bucket[B].Score)
+        return Bucket[A].Score > Bucket[B].Score;
+      return Items[A].Order < Items[B].Order;
+    });
+    std::vector<Derivation> Best;
+    Best.reserve(Beam);
+    for (size_t I = 0; I < Beam; ++I)
+      Best.push_back(std::move(Bucket[Order[I]]));
+    Bucket = std::move(Best);
+  }
+
   ChartCell *Cell = nullptr;
   const Derivation *Probe = nullptr;
   std::unordered_set<Slot, SlotIdentity, SlotIdentity> Index;
+  unsigned Beam = 0;
+  uint32_t Clock = 0;
+  uint32_t ClosureStart = NoStamp;
+  Slot Last{0, 0};
+  std::array<CatState, NumCats> Cats;
 };
 
 /// Parses \p Tokens under \p Weights; returns the root-category

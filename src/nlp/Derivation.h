@@ -16,6 +16,9 @@ namespace regel::nlp {
 /// One chart item.
 struct Derivation {
   Cat Category;
+  /// How many features fired, counting repeats (the sum of Features'
+  /// values): it bounds the rounding error in Score.
+  uint32_t Fired = 0;
   SemValue Val;
   FeatureVec Features;
   double Score = 0;

@@ -48,27 +48,24 @@ double regel::nlp::dotFeatures(const FeatureVec &V,
   return Sum;
 }
 
-double regel::nlp::dotFeaturesWith(const FeatureVec &V, uint32_t Id,
-                                   float Delta,
+double regel::nlp::dotFeaturesWith(const FeatureVec &V, const uint32_t *Ids,
+                                   size_t NumIds,
                                    const std::vector<double> &Weights) {
   double Sum = 0;
-  auto Term = [&](uint32_t I, float Val) {
-    if (I < Weights.size())
-      Sum += Weights[I] * Val;
+  size_t E = 0;
+  // The term of feature Id, worth Val plus one per repeat of Id in Ids.
+  auto Term = [&](uint32_t Id, float Val) {
+    for (; E < NumIds && Ids[E] == Id; ++E)
+      Val += 1.0f;
+    if (Id < Weights.size())
+      Sum += Weights[Id] * Val;
   };
-  bool Added = false;
   for (const auto &[I, Val] : V) {
-    if (!Added && Id <= I) {
-      Added = true;
-      if (Id == I) {
-        Term(I, Val + Delta);
-        continue;
-      }
-      Term(Id, Delta);
-    }
+    while (E < NumIds && Ids[E] < I)
+      Term(Ids[E], 0.0f);
     Term(I, Val);
   }
-  if (!Added)
-    Term(Id, Delta);
+  while (E < NumIds)
+    Term(Ids[E], 0.0f);
   return Sum;
 }

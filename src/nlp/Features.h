@@ -29,11 +29,13 @@ void mergeFeaturesInto(FeatureVec &Out, const FeatureVec &V,
 /// Dot product with a dense weight vector, summed in id order.
 double dotFeatures(const FeatureVec &V, const std::vector<double> &Weights);
 
-/// dotFeatures of V with \p Delta added to feature \p Id, without building
-/// that vector: the same terms, summed in the same order, so the result is
-/// bit-identical to copying V, calling addFeature and then dotFeatures.
-double dotFeaturesWith(const FeatureVec &V, uint32_t Id, float Delta,
-                       const std::vector<double> &Weights);
+/// dotFeatures of V with 1 added to each of the \p NumIds features \p Ids
+/// (ascending; an id may repeat), without building that vector: the same
+/// terms, summed in the same order, so the result is bit-identical to
+/// copying V, calling addFeature for each id and then dotFeatures. Feature
+/// values are counts, so the per-id sums are exact in any order.
+double dotFeaturesWith(const FeatureVec &V, const uint32_t *Ids,
+                       size_t NumIds, const std::vector<double> &Weights);
 
 /// Feature-id layout derived from a grammar.
 class FeatureSpace {

@@ -104,6 +104,46 @@ bool SemValue::operator==(const SemValue &O) const {
 Grammar::Grammar() {
   buildLexicon();
   buildRules();
+  buildRuleTables();
+}
+
+void Grammar::buildRuleTables() {
+  // Grouping through an unordered_map filled in rule order reproduces the
+  // group order the chart parser has always offered compositions in.
+  std::unordered_map<uint16_t, std::vector<uint32_t>> Groups;
+  for (uint32_t I = 0; I < Rules.size(); ++I)
+    Groups[Rules[I].Rhs[0]].push_back(I);
+  for (auto &[First, Idx] : Groups)
+    ByFirst.push_back({static_cast<Cat>(First), std::move(Idx)});
+
+  UnaryFrom.assign(NumCats, {});
+  for (uint32_t I = 0; I < Rules.size(); ++I) {
+    const Rule &R = Rules[I];
+    assert((R.Rhs.size() != 1 || R.Rhs[0] != R.Lhs) &&
+           "a unary rule must change the category (see the chart closure)");
+    if (R.Rhs.size() == 1)
+      UnaryFrom[R.Rhs[0]].push_back(I);
+  }
+
+  // Depth-first over unary rules; the grammar's unary rules form no cycle,
+  // so the walk ends within NumCats steps.
+  Chains.assign(NumCats, {});
+  for (unsigned From = 0; From < NumCats; ++From) {
+    std::vector<UnaryChain> Work{UnaryChain()};
+    while (!Work.empty()) {
+      UnaryChain Cur = std::move(Work.back());
+      Work.pop_back();
+      Cat At = Cur.Cats.empty() ? static_cast<Cat>(From) : Cur.target();
+      for (uint32_t RuleIdx : UnaryFrom[At]) {
+        UnaryChain Next = Cur;
+        Next.Rules.push_back(RuleIdx);
+        Next.Cats.push_back(Rules[RuleIdx].Lhs);
+        assert(Next.Rules.size() <= NumCats && "cycle among unary rules");
+        Chains[From].push_back(Next);
+        Work.push_back(std::move(Next));
+      }
+    }
+  }
 }
 
 void Grammar::addRule(Cat Lhs, std::vector<Cat> Rhs, const char *Name,
@@ -154,13 +194,18 @@ void Grammar::buildRules() {
   using Args = std::vector<const SemValue *>;
 
   // --- Root / lists / holes ---
+  // Shapes of the unary rules (see Rule::Shape): a copy or a wrapper is
+  // injective; concrete sketches and holes never compare equal.
+  enum : int { CopyShape, ListShape, ConcreteShape, HoleShape };
   addRule(CatRoot, {CatSketch}, "root<-sketch", [](const Args &A) {
     return *A[0];
   });
+  Rules.back().Shape = CopyShape;
   addRule(CatList, {CatProgram}, "list<-program", [](const Args &A) {
     SketchPtr S = A[0]->asSketch();
     return SemValue::list({S});
   });
+  Rules.back().Shape = ListShape;
   addRule(CatList, {CatProgram, CatList}, "list<-cons", [](const Args &A) {
     SketchPtr S = A[0]->asSketch();
     std::vector<SketchPtr> L{S};
@@ -172,15 +217,19 @@ void Grammar::buildRules() {
   addRule(CatSketch, {CatList}, "sketch<-hole", [](const Args &A) {
     return SemValue::sketch(Sketch::hole(A[0]->List));
   });
+  Rules.back().Shape = HoleShape;
   addRule(CatSketch, {CatProgram}, "sketch<-concrete", [](const Args &A) {
     return SemValue::sketch(Sketch::concrete(A[0]->R));
   });
+  Rules.back().Shape = ConcreteShape;
 
   // --- Base programs ---
   addRule(CatProgram, {CatCC}, "program<-cc",
           [](const Args &A) { return *A[0]; });
+  Rules.back().Shape = CopyShape;
   addRule(CatProgram, {CatConst}, "program<-const",
           [](const Args &A) { return *A[0]; });
+  Rules.back().Shape = CopyShape;
   addRule(CatProgram, {CatConstSet}, "program<-constset", [](const Args &A) {
     // Fold the constant set into a disjunction.
     std::vector<RegexPtr> Rs;

@@ -99,6 +99,12 @@ struct Rule {
   std::function<std::optional<SemValue>(const std::vector<const SemValue *> &)>
       Apply;
   const char *Name;
+  /// For unary rules, what a result says about how it was made (the
+  /// chart's early rejection relies on it to order closure items): -1
+  /// promises nothing; otherwise distinct children give distinct results,
+  /// and a result never equals that of another unary rule into the same
+  /// category with a different, non-negative Shape.
+  int Shape = -1;
 };
 
 /// Lexicon entry: phrase of lemmas -> category + value.
@@ -107,12 +113,41 @@ struct LexEntry {
   SemValue Val;
 };
 
+/// The rules whose first right-hand category is First (indices into
+/// Grammar::rules(), in rule order).
+struct RuleGroup {
+  Cat First;
+  std::vector<uint32_t> Rules;
+};
+
+/// A chain of unary rules from some category: applying Rules[0], then
+/// Rules[1], ... turns an item into one of category Cats[i] after step i.
+struct UnaryChain {
+  std::vector<uint32_t> Rules;
+  std::vector<Cat> Cats;
+  Cat target() const { return Cats.back(); }
+};
+
 /// The full grammar: lexicon + compositional rules.
 class Grammar {
 public:
   Grammar();
 
   const std::vector<Rule> &rules() const { return Rules; }
+
+  /// Rules grouped by first right-hand category. The group order is the
+  /// iteration order of the unordered_map the chart parser once rebuilt
+  /// per parse, kept because it sets the order compositions are offered
+  /// in, and so which of two equal-score items a beam keeps.
+  const std::vector<RuleGroup> &rulesByFirst() const { return ByFirst; }
+
+  /// The unary rules whose child category is \p C, in rule order.
+  const std::vector<uint32_t> &unaryFrom(Cat C) const { return UnaryFrom[C]; }
+
+  /// Every non-empty chain of unary rules that starts at category \p C.
+  const std::vector<UnaryChain> &unaryChains(Cat C) const {
+    return Chains[C];
+  }
 
   /// Lexicon entries for a lemma phrase (space-joined), null if none.
   const std::vector<LexEntry> *lookup(const std::string &Phrase) const;
@@ -123,6 +158,7 @@ public:
 private:
   void buildLexicon();
   void buildRules();
+  void buildRuleTables();
 
   void addLex(const char *Phrase, Cat Category, SemValue Val);
   void addRule(Cat Lhs, std::vector<Cat> Rhs, const char *Name,
@@ -132,6 +168,9 @@ private:
 
   std::unordered_map<std::string, std::vector<LexEntry>> Lexicon;
   std::vector<Rule> Rules;
+  std::vector<RuleGroup> ByFirst;
+  std::vector<std::vector<uint32_t>> UnaryFrom;
+  std::vector<std::vector<UnaryChain>> Chains;
   unsigned MaxPhraseLen = 1;
 };
 

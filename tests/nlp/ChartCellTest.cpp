@@ -2,7 +2,9 @@
 //
 // A chart cell's dedup identity is the full (category, semantics) pair:
 // the hash only picks a bucket, so under a constant hash distinct items
-// stay distinct and equal items still merge (best score wins).
+// stay distinct and equal items still merge (best score wins). The cell
+// builder's rejection threshold counts each identity once and never beats
+// a tie.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,6 +13,8 @@
 #include "regex/Parser.h"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 using namespace regel;
 using namespace regel::nlp;
@@ -34,7 +38,7 @@ SketchPtr sk(const char *Text) { return Sketch::concrete(parseRegex(Text)); }
 TEST(CellBuilder, IdentityIsTheFullKeyEvenUnderAConstantHash) {
   CellBuilder Builder([](const Derivation &) -> size_t { return 7; });
   ChartCell Cell;
-  Builder.start(Cell);
+  Builder.start(Cell, /*BeamPerCat=*/14);
   Builder.add(item(CatInt, SemValue::intval(3), 1.0));
   Builder.add(item(CatInt, SemValue::intval(4), 2.0));
   // Same identity, better score: replaces the first item in place.
@@ -53,7 +57,7 @@ TEST(CellBuilder, IdentityIsTheFullKeyEvenUnderAConstantHash) {
   Builder.add(item(CatList, SemValue::list({sk("<num>"), sk("<let>")}), 1.0));
   Builder.add(item(CatList, SemValue::list({sk("<let>"), sk("<num>")}), 1.0));
   Builder.add(item(CatList, SemValue::list({sk("<num>")}), 1.0));
-  Builder.finish(/*BeamPerCat=*/14);
+  Builder.finish();
 
   EXPECT_EQ(Cell.Count, 8u);
   const std::vector<Derivation> &Ints = Cell.ByCat[CatInt];
@@ -68,6 +72,96 @@ TEST(CellBuilder, IdentityIsTheFullKeyEvenUnderAConstantHash) {
   EXPECT_EQ(Programs[0].Score, 3.0);
   EXPECT_TRUE(regexEquals(Programs[1].Val.R, parseRegex("Repeat(<num>,3)")));
   EXPECT_EQ(Cell.ByCat[CatList].size(), 3u);
+}
+
+// Early rejection drops an offer only when BeamPerCat distinct items score
+// strictly higher (CellBuilder::beaten). The next tests pin that threshold.
+
+TEST(CellBuilder, ATieWithTheCutIsNeverBeaten) {
+  CellBuilder Builder;
+  ChartCell Cell;
+  Builder.start(Cell, /*BeamPerCat=*/2);
+  Builder.add(item(CatInt, SemValue::intval(1), 3.0));
+  Builder.add(item(CatInt, SemValue::intval(2), 2.0));
+  // Two items, both at or above any score of interest: not full yet.
+  EXPECT_FALSE(Builder.full(CatInt));
+  Builder.add(item(CatInt, SemValue::intval(3), 1.0));
+  ASSERT_TRUE(Builder.full(CatInt));
+  EXPECT_EQ(Builder.threshold(CatInt), 2.0);
+  // An equal score arriving later loses the stable sort to the earlier
+  // one only when both are there, so a tie must be kept.
+  EXPECT_FALSE(Builder.beaten(CatInt, 2.0));
+  EXPECT_TRUE(Builder.beaten(CatInt, std::nextafter(2.0, 0.0)));
+  Builder.finish();
+}
+
+TEST(CellBuilder, AReplacementDoesNotTakeASecondPlace) {
+  CellBuilder Builder;
+  ChartCell Cell;
+  Builder.start(Cell, /*BeamPerCat=*/2);
+  Builder.add(item(CatInt, SemValue::intval(1), 3.0));
+  Builder.add(item(CatInt, SemValue::intval(2), 1.0));
+  Builder.add(item(CatInt, SemValue::intval(3), 0.5));
+  // The same identity, better: it moves up, it does not count twice. Had
+  // it, the two best would read {4, 3} and 1.5 would look beaten.
+  EXPECT_EQ(Builder.add(item(CatInt, SemValue::intval(1), 4.0)),
+            CellBuilder::Outcome::Replaced);
+  EXPECT_EQ(Builder.threshold(CatInt), 1.0);
+  EXPECT_FALSE(Builder.beaten(CatInt, 1.5));
+  EXPECT_EQ(Builder.add(item(CatInt, SemValue::intval(1), 4.0)),
+            CellBuilder::Outcome::Tied);
+  EXPECT_EQ(Builder.add(item(CatInt, SemValue::intval(1), 2.0)),
+            CellBuilder::Outcome::Dropped);
+  Builder.finish();
+  ASSERT_EQ(Cell.ByCat[CatInt].size(), 2u);
+  EXPECT_EQ(Cell.ByCat[CatInt][0].Score, 4.0);
+  EXPECT_EQ(Cell.ByCat[CatInt][1].Score, 1.0);
+}
+
+TEST(CellBuilder, AFullBucketDoesNotMakeItsImagesBucketFull) {
+  // A program beaten in its own full bucket may still place its unary
+  // image (here a sketch) in a bucket that has room; the parser drops an
+  // offer only when every image's bucket is full() and beats it too
+  // (ChartRejection.NarrowBeams exercises that on whole parses).
+  CellBuilder Builder;
+  ChartCell Cell;
+  Builder.start(Cell, /*BeamPerCat=*/2);
+  for (const char *P : {"<num>", "<let>", "<cap>"})
+    Builder.add(item(CatProgram, re(P), 1.0));
+  Builder.add(item(CatSketch, SemValue::sketch(sk("<num>")), 1.0));
+  EXPECT_TRUE(Builder.beaten(CatProgram, 0.0));
+  EXPECT_FALSE(Builder.full(CatSketch));
+  EXPECT_FALSE(Builder.beaten(CatSketch, -100.0));
+  Builder.finish();
+}
+
+TEST(CellBuilder, ADroppedIdentityKeepsItsSlotAmongTies) {
+  // BeamPerCat 2. Two items score 4; an offer of identity 9 scoring 3 is
+  // dropped (two items beat it); later items 7 and 9 both score 5. A
+  // build that applied everything would have inserted 9 at the drop, so
+  // 9 sorts before 7, which arrived in between. The parser finds the drop
+  // of 9 among the late ties and moves 9's slot there.
+  CellBuilder Builder;
+  ChartCell Cell;
+  Builder.start(Cell, /*BeamPerCat=*/2);
+  Builder.add(item(CatInt, SemValue::intval(1), 4.0));
+  Builder.add(item(CatInt, SemValue::intval(2), 4.0));
+  Builder.add(item(CatInt, SemValue::intval(3), 0.0));
+  ASSERT_TRUE(Builder.beaten(CatInt, 3.0));
+  const uint32_t Drop = Builder.stampDrop();
+  Builder.rejected(CatInt, 3.0, Drop);
+  Builder.add(item(CatInt, SemValue::intval(7), 5.0));
+  Builder.add(item(CatInt, SemValue::intval(9), 5.0));
+  std::vector<uint32_t> Late;
+  Builder.lateTies(CatInt, Late);
+  ASSERT_EQ(Late.size(), 2u);
+  const uint32_t Nine = Cell.ByCat[CatInt][Late[0]].Val.I == 9 ? Late[0]
+                                                                : Late[1];
+  Builder.slotAt(CatInt, Nine, Drop);
+  Builder.finish();
+  ASSERT_EQ(Cell.ByCat[CatInt].size(), 2u);
+  EXPECT_EQ(Cell.ByCat[CatInt][0].Val.I, 9);
+  EXPECT_EQ(Cell.ByCat[CatInt][1].Val.I, 7);
 }
 
 TEST(SemValue, EqualityIsStructural) {

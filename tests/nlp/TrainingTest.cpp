@@ -1,10 +1,13 @@
 //===- tests/nlp/TrainingTest.cpp -----------------------------------------===//
 
-#include "nlp/Training.h"
+#include "TrainedParser.h"
 
 #include "sketch/SketchParser.h"
+#include "support/Hash.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
 
 using namespace regel;
 using namespace regel::nlp;
@@ -29,7 +32,41 @@ std::vector<TrainExample> tinyCorpus() {
   };
 }
 
+/// mix64 over the weights printed "%.17g\n": any change in any bit of any
+/// weight changes it.
+uint64_t weightsDigest(const std::vector<double> &Weights) {
+  uint64_t H = 0;
+  char Buf[40];
+  for (double W : Weights) {
+    std::snprintf(Buf, sizeof(Buf), "%.17g\n", W);
+    for (const char *P = Buf; *P; ++P)
+      H = mix64(H ^ static_cast<unsigned char>(*P));
+  }
+  return H;
+}
+
 } // namespace
+
+// Training reads the parser's whole beam (softmax over every root, the
+// gradient from their feature vectors), so these digests pin the chart's
+// full output along every step of two training runs: the tiny corpus, and
+// the DeepRegex recipe the benches serve (TrainedParser.h).
+// They were taken from the chart parser before early rejection.
+TEST(Training, WeightsDigestIsPinned) {
+  {
+    SemanticParser P;
+    TrainConfig Cfg;
+    Cfg.Epochs = 5;
+    trainParser(P, tinyCorpus(), Cfg);
+    EXPECT_EQ(weightsDigest(P.weights()), 0x0ea42967ece248bdull);
+  }
+  {
+    const fixtures::TrainedParser &T = fixtures::deepRegexTrained();
+    EXPECT_EQ(weightsDigest(T.Parser.weights()), 0xdcb68644e54a1cd6ull);
+    EXPECT_EQ(T.Report.Reachable, 203u);
+    EXPECT_EQ(T.Report.Top1Correct, 99u);
+  }
+}
 
 TEST(Training, GoldReachableOnTinyCorpus) {
   SemanticParser P;

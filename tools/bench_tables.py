@@ -15,6 +15,7 @@ bench report and the prose can never disagree. Regions:
   fairness      interactive p95 under FIFO vs the priority pool
   shedding      doomed-job verdict latency and queue residency, lazy vs shed
   obs_overhead  jobs/sec with instrumentation on vs off (median, quartiles)
+  parse_corpus  NL front end alone: parser training and corpus parse time
 
 Usage:
   tools/bench_tables.py [--root DIR]           rewrite the regions in place
@@ -135,11 +136,27 @@ def obs_overhead(d):
     )
 
 
+def parse_corpus(d):
+    p = d["parse_corpus"]
+    per_desc = 1000.0 * p["parse_s"] / p["descriptions"]
+    return para(
+        f"The committed `parse_corpus` row ran {p['repeats']} repeats on one "
+        f"thread. Median [quartiles]: training the DeepRegex parser took "
+        f"**{p['train_s']:.2f} s** [{p['train_s_q1']:.2f}, "
+        f"{p['train_s_q3']:.2f}], and parsing the {p['descriptions']} "
+        f"descriptions to their top 10 sketches **{p['parse_s']:.2f} s** "
+        f"[{p['parse_s_q1']:.2f}, {p['parse_s_q3']:.2f}] "
+        f"({per_desc:.1f} ms per description). Top-10 digest "
+        f"`{p['top10_digest']}`."
+    )
+
+
 GENERATORS = {
     "smt_cache": smt_cache,
     "fairness": fairness,
     "shedding": shedding,
     "obs_overhead": obs_overhead,
+    "parse_corpus": parse_corpus,
 }
 
 

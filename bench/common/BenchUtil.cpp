@@ -3,6 +3,7 @@
 #include "BenchUtil.h"
 
 #include "automata/Compile.h"
+#include "data/DeepRegexParser.h"
 #include "support/Timer.h"
 
 #include <cstdio>
@@ -27,32 +28,10 @@ regel::bench::limited(std::vector<data::Benchmark> Set,
   return Set;
 }
 
-namespace {
-
-std::vector<nlp::TrainExample>
-toTrainExamples(const std::vector<data::Benchmark> &Set) {
-  std::vector<nlp::TrainExample> Out;
-  for (const data::Benchmark &B : Set)
-    Out.push_back({B.Description, B.GoldSketch});
-  return Out;
-}
-
-} // namespace
-
 std::shared_ptr<nlp::SemanticParser>
 regel::bench::trainedParserForDeepRegex() {
   auto Parser = std::make_shared<nlp::SemanticParser>();
-  // Disjoint training split: same synchronous grammar, different seed.
-  // Each benchmark contributes two supervision signals: the hole-ified
-  // sketch label (Sec. 7) and the concrete regex, so the model learns to
-  // rank faithful structured parses above marker-dropping ones.
-  std::vector<data::Benchmark> Train = data::deepRegexSet(150, 0x7ea1);
-  std::vector<nlp::TrainExample> Examples = toTrainExamples(Train);
-  for (const data::Benchmark &B : Train)
-    Examples.push_back({B.Description, Sketch::concrete(B.GroundTruth)});
-  nlp::TrainConfig Cfg;
-  Cfg.Epochs = 3;
-  nlp::trainParser(*Parser, Examples, Cfg);
+  data::trainDeepRegexParser(*Parser);
   return Parser;
 }
 

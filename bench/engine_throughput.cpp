@@ -36,8 +36,6 @@
 //                            alternating on/off pairs of runs
 //   REGEL_SMT_CACHE          0 skips the smt_cache_on_vs_off section
 //                            (default 1)
-//   REGEL_PARSE_REPEATS      repeats of the parse_corpus section
-//                            (default 5, 0 skips)
 //
 // The smt_cache_on_vs_off section repeats the corpus cold+warm with the
 // SMT verdict store detached (EngineConfig::SmtMemo=false) and compares
@@ -55,9 +53,10 @@
 // training the DeepRegex parser the benches serve
 // (trainedParserForDeepRegex), then parsing the 62 StackOverflow and the
 // first 150 deepRegexSet(400, 1) descriptions to their top 10 sketches.
-// Each repeat trains and parses again; the row reports the median and
-// quartiles, and a digest of every top-10 list (sketch and %.17g score),
-// which must not change across repeats or with a parser speed-up.
+// Each of ParseRepeats repeats trains and parses again; the row reports
+// the median and quartiles, and a digest of every top-10 list (sketch and
+// %.17g score), which must not change across repeats or with a parser
+// speed-up.
 //
 //===----------------------------------------------------------------------===//
 
@@ -337,6 +336,10 @@ double runObsMode(bool Observability, unsigned Threads, size_t Jobs) {
 /// too noisy to resolve a few-percent overhead on a shared host; the
 /// median and quartiles over this many pairs are the reported figures.
 constexpr unsigned ObsPairs = 11;
+
+/// Repeats of the parse_corpus section; the median and quartiles over them
+/// are the reported figures.
+constexpr unsigned ParseRepeats = 5;
 
 /// The q-quantile (0..1) of \p V, linearly interpolated between ranks.
 double quantile(std::vector<double> V, double Q) {
@@ -783,9 +786,8 @@ int main() {
     Json += ObsBuf;
   }
 
-  const unsigned ParseRepeats =
-      static_cast<unsigned>(envInt("REGEL_PARSE_REPEATS", 5));
-  if (ParseRepeats > 0) {
+  // Parse corpus: the NL front end alone.
+  {
     std::vector<std::string> Descs;
     for (const data::Benchmark &B : data::stackOverflowSet())
       Descs.push_back(B.Description);

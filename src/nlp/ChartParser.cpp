@@ -265,219 +265,17 @@ private:
     for (size_t I = 0; I < Ims.size(); ++I)
       Builder.rejected(Ims[I].Target, ImageScores[I], Stamp);
     Rejected = true;
+    DroppedIn[R.Lhs] = true;
     return true;
   }
 
-  /// For each listed item not scanned yet, finds the first dropped
-  /// composition of its identity that came before it and moves the item's
-  /// slot there (CellBuilder::slotAt): in a build without rejection, that
-  /// drop would have inserted the identity. Applies each drop of a listed
-  /// item's category once per call.
-  void scanDrops(std::vector<std::pair<Cat, uint32_t>> &Targets) {
-    std::sort(Targets.begin(), Targets.end());
-    Targets.erase(std::unique(Targets.begin(), Targets.end()), Targets.end());
-    for (size_t Begin = 0; Begin < Targets.size();) {
-      const Cat C = Targets[Begin].first;
-      size_t End = Begin;
-      Open.clear();
-      uint32_t LastStamp = 0;
-      for (; End < Targets.size() && Targets[End].first == C; ++End) {
-        CellBuilder::Item &It = Builder.item(C, Targets[End].second);
-        if (It.Scanned)
-          continue;
-        It.Scanned = true;
-        Open.push_back(Targets[End].second);
-        LastStamp = std::max(LastStamp, It.Inserted);
-      }
-      Begin = End;
-      const std::vector<Derivation> &Bucket = Builder.bucket(C);
-      uint32_t Stamp = FirstCompose;
-      forEachComposition([&](const Rule &R, auto Kids) {
-        if (Open.empty() || Stamp > LastStamp)
-          return false;
-        const uint32_t At = Stamp++;
-        if (!DroppedAt[At - FirstCompose] || R.Lhs != C)
-          return true;
-        Vals.clear();
-        for (const Derivation *K : Kids)
-          Vals.push_back(&K->Val);
-        std::optional<SemValue> Res = R.Apply(Vals);
-        if (!Res)
-          return true;
-        const size_t Hash = Res->hash();
-        for (size_t I = 0; I < Open.size(); ++I) {
-          const Derivation &D = Bucket[Open[I]];
-          if (Builder.item(C, Open[I]).Inserted < At ||
-              D.Val.hash() != Hash || !(D.Val == *Res))
-            continue;
-          Builder.slotAt(C, Open[I], At);
-          Open.erase(Open.begin() + static_cast<ptrdiff_t>(I));
-          break;
-        }
-        return true;
-      });
-    }
-  }
-
-  /// Whether a closure offer into category \p X by unary rule \p U from
-  /// category \p From is the first offer of its identity in a build
-  /// without rejection too, given that its source is: dropped items live
-  /// only in touched categories, and a result of U equals no result of
-  /// another unary rule into X that such an item could offer before (one
-  /// walked no later) — and, U being injective, none of U's own from an
-  /// item of another identity.
-  bool routeKeepsFirst(Cat X, Cat From, uint32_t U) const {
-    const int Shape = G.rules()[U].Shape;
-    if (Shape < 0)
-      return false;
-    for (unsigned Y = 0; Y <= From; ++Y) {
-      if (!Builder.touched(static_cast<Cat>(Y)))
-        continue;
-      for (uint32_t V : G.unaryFrom(static_cast<Cat>(Y))) {
-        const Rule &R = G.rules()[V];
-        if (V != U && R.Lhs == X && (R.Shape < 0 || R.Shape == Shape))
-          return false;
-      }
-    }
-    return true;
-  }
-
-  /// Appends to \p Key where item \p Idx of category \p C is first offered
-  /// in a build without rejection, in a form that compares like those
-  /// positions: (0, slot) before the closure, else (1, source category,
-  /// the source's key, rule position) for an item of the closure's first
-  /// round. Returns false when that position is unknown. The item and its
-  /// closure sources must have been through scanDrops.
-  bool firstOffer(Cat C, uint32_t Idx, std::vector<uint64_t> &Key) {
-    const CellBuilder::Item &It = Builder.item(C, Idx);
-    if (It.Round == 0 || !Builder.slotInClosure(C, Idx)) {
-      Key.push_back(0);
-      Key.push_back(It.Slot);
-      return true;
-    }
-    const Cat From = static_cast<Cat>(It.SourceCat);
-    if (It.Round != 1 || !routeKeepsFirst(C, From, It.Rule))
-      return false;
-    Key.push_back(1);
-    Key.push_back(From);
-    if (!firstOffer(From, It.SourceIdx, Key))
-      return false;
-    const std::vector<uint32_t> &Unary = G.unaryFrom(From);
-    Key.push_back(static_cast<uint64_t>(
-        std::find(Unary.begin(), Unary.end(), It.Rule) - Unary.begin()));
-    return true;
-  }
-
-  /// Adds item \p Idx of category \p C and its closure sources to
-  /// \p Targets.
-  void withSources(Cat C, uint32_t Idx,
-                   std::vector<std::pair<Cat, uint32_t>> &Targets) {
-    for (;;) {
-      Targets.push_back({C, Idx});
-      const CellBuilder::Item &It = Builder.item(C, Idx);
-      if (It.Round == 0)
-        return;
-      C = static_cast<Cat>(It.SourceCat);
-      Idx = It.SourceIdx;
-    }
-  }
-
-  /// Orders the late ties of every touched category (CellBuilder::lateTies)
-  /// as a build without rejection would: by where each tied item's
-  /// identity is first offered there (firstOffer). Returns false when that
-  /// is unknown for some tied item.
-  bool settleLateTies() {
-    std::vector<uint32_t> Members;
-    std::vector<std::pair<Cat, uint32_t>> Targets;
-    std::vector<std::pair<std::vector<uint64_t>, uint32_t>> Keyed;
-    std::vector<uint32_t> Slots;
-    for (unsigned From = 0; From < NumCats; ++From) {
-      const Cat C = static_cast<Cat>(From);
-      Builder.lateTies(C, Members);
-      if (Members.empty())
-        continue;
-      Targets.clear();
-      for (uint32_t M : Members)
-        withSources(C, M, Targets);
-      scanDrops(Targets);
-      const std::vector<Derivation> &Bucket = Builder.bucket(C);
-      // lateTies lists the tied items by score; settle each tie group.
-      for (size_t Begin = 0; Begin < Members.size();) {
-        size_t End = Begin + 1;
-        while (End < Members.size() &&
-               Bucket[Members[End]].Score == Bucket[Members[Begin]].Score)
-          ++End;
-        Keyed.clear();
-        Slots.clear();
-        for (size_t I = Begin; I < End; ++I) {
-          Keyed.emplace_back();
-          Keyed.back().second = Members[I];
-          if (!firstOffer(C, Members[I], Keyed.back().first))
-            return false;
-          Slots.push_back(Builder.item(C, Members[I]).Order);
-        }
-        // The group's slots are later than every untied item of its score,
-        // so handing them out in first-offer order orders the group.
-        std::sort(Keyed.begin(), Keyed.end());
-        std::sort(Slots.begin(), Slots.end());
-        for (size_t I = 0; I < Keyed.size(); ++I)
-          Builder.setOrder(C, Keyed[I].second, Slots[I]);
-        Begin = End;
-      }
-    }
-    return true;
-  }
-
-  /// Whether the closure round that just ended would have counted as
-  /// progress in a build without rejection too: some item it inserted,
-  /// from an item that was there before the closure, was certainly new
-  /// there (no drop before had its identity, and its route keeps first
-  /// offers first).
-  bool roundCertainlyProgressed() {
-    scanDrops(RoundNew);
-    for (const auto &[C, Idx] : RoundNew)
-      if (Builder.slotInClosure(C, Idx))
-        return true;
-    return false;
-  }
-
-  /// Calls \p F(Rule, Kids) for every binary and ternary composition over
-  /// exact adjacent splits of the open cell, in the order the chart offers
-  /// them, while F returns true.
-  template <typename Fn> void forEachComposition(Fn &&F) {
-    for (unsigned K = CurI + 1; K < CurJ; ++K) {
-      ChartCell &Left = cell(CurI, K);
-      for (const RuleGroup &Group : G.rulesByFirst()) {
-        const std::vector<Derivation> &LeftBucket = Left.ByCat[Group.First];
-        if (LeftBucket.empty())
-          continue;
-        for (uint32_t RuleIdx : Group.Rules) {
-          const Rule &R = G.rules()[RuleIdx];
-          if (R.Rhs.size() == 2) {
-            const auto &RightBucket = cell(K, CurJ).ByCat[R.Rhs[1]];
-            for (const Derivation &L : LeftBucket)
-              for (const Derivation &Rt : RightBucket)
-                if (!F(R, std::initializer_list<const Derivation *>{&L, &Rt}))
-                  return;
-            continue;
-          }
-          if (R.Rhs.size() == 3) {
-            for (unsigned K2 = K + 1; K2 < CurJ; ++K2) {
-              const auto &MidBucket = cell(K, K2).ByCat[R.Rhs[1]];
-              if (MidBucket.empty())
-                continue;
-              const auto &RightBucket = cell(K2, CurJ).ByCat[R.Rhs[2]];
-              for (const Derivation &L : LeftBucket)
-                for (const Derivation &M : MidBucket)
-                  for (const Derivation &Rt : RightBucket)
-                    if (!F(R, std::initializer_list<const Derivation *>{
-                                  &L, &M, &Rt}))
-                      return;
-            }
-          }
-        }
-      }
-    }
+  /// Offers the composition of \p R over \p Kids to the open cell, unless
+  /// early rejection drops it unapplied.
+  void compose(const Rule &R, std::initializer_list<const Derivation *> Kids,
+               unsigned SpanLen) {
+    if (Rejecting && beatenEverywhere(R, Kids, SpanLen))
+      return;
+    tryApply(R, Kids, SpanLen);
   }
 
   void buildCell(unsigned I, unsigned J) {
@@ -496,9 +294,7 @@ private:
     Builder.start(C, Cfg.BeamPerCat);
     Rejecting = Reject;
     Rejected = false;
-    DroppedAt.clear();
-    CurI = I;
-    CurJ = J;
+    DroppedIn.fill(false);
     unsigned Len = J - I;
 
     // Skip-extension: inherit from the two sub-spans one token shorter,
@@ -530,20 +326,37 @@ private:
     for (const Derivation &D : Lexical[I * (N + 1) + J])
       Builder.offer(D, D.Score, [&D] { return D; });
 
-    // Binary and ternary composition over exact adjacent splits. Each one
-    // takes exactly one stamp, offered, dropped or rejected by its rule,
-    // so scanDrops can replay them by stamp.
-    FirstCompose = Builder.nextStamp();
-    forEachComposition([this, Len](const Rule &R, auto Kids) {
-      if (Rejecting && beatenEverywhere(R, Kids, Len)) {
-        DroppedAt.push_back(true);
-        return true;
+    // Binary and ternary composition over exact adjacent splits.
+    for (unsigned K = I + 1; K < J; ++K) {
+      ChartCell &Left = cell(I, K);
+      for (const RuleGroup &Group : G.rulesByFirst()) {
+        const std::vector<Derivation> &LeftBucket = Left.ByCat[Group.First];
+        if (LeftBucket.empty())
+          continue;
+        for (uint32_t RuleIdx : Group.Rules) {
+          const Rule &R = G.rules()[RuleIdx];
+          if (R.Rhs.size() == 2) {
+            const auto &RightBucket = cell(K, J).ByCat[R.Rhs[1]];
+            for (const Derivation &L : LeftBucket)
+              for (const Derivation &Rt : RightBucket)
+                compose(R, {&L, &Rt}, Len);
+            continue;
+          }
+          if (R.Rhs.size() == 3) {
+            for (unsigned K2 = K + 1; K2 < J; ++K2) {
+              const auto &MidBucket = cell(K, K2).ByCat[R.Rhs[1]];
+              if (MidBucket.empty())
+                continue;
+              const auto &RightBucket = cell(K2, J).ByCat[R.Rhs[2]];
+              for (const Derivation &L : LeftBucket)
+                for (const Derivation &M : MidBucket)
+                  for (const Derivation &Rt : RightBucket)
+                    compose(R, {&L, &M, &Rt}, Len);
+            }
+          }
+        }
       }
-      DroppedAt.push_back(false);
-      if (!tryApply(R, Kids, Len))
-        Builder.stampDrop();
-      return true;
-    });
+    }
 
     // Unary closure (CC -> PROGRAM -> LIST -> SKETCH -> ROOT). No unary
     // rule keeps its category (see Grammar::buildRuleTables), so adding a
@@ -555,8 +368,7 @@ private:
     for (unsigned Round = 0; Round < 4 && !Doubt; ++Round) {
       size_t Before = C.Count;
       std::array<bool, NumCats> Walked{};
-      bool Pending = false;
-      RoundNew.clear();
+      bool Pending = false, Progressed = false;
       for (unsigned From = 0; From < NumCats; ++From) {
         const Cat FromCat = static_cast<Cat>(From);
         const std::vector<uint32_t> &Unary = G.unaryFrom(FromCat);
@@ -575,13 +387,8 @@ private:
             if (!Rejected || !O || *O == CellBuilder::Outcome::Dropped)
               continue;
             const bool Changed = *O != CellBuilder::Outcome::Tied;
-            if (*O == CellBuilder::Outcome::Inserted) {
-              Builder.setOrigin(Round + 1, FromCat, Src, RuleIdx);
-              if (RoundNew.size() < 8 && Builder.item(FromCat, Src).Round == 0 &&
-                  routeKeepsFirst(R.Lhs, FromCat, RuleIdx))
-                RoundNew.push_back(
-                    {R.Lhs, static_cast<uint32_t>(C.ByCat[R.Lhs].size() - 1)});
-            }
+            if (*O == CellBuilder::Outcome::Inserted && !DroppedIn[R.Lhs])
+              Progressed = true;
             if (Changed && Walked[R.Lhs])
               Pending = true;
             if (Suspect) {
@@ -605,16 +412,19 @@ private:
         Walked[FromCat] = true;
       }
       // A change behind the walk waits for the next round, which runs only
-      // if this one inserted something; a drop's identity could have made
-      // that differ.
-      if (Pending && (Round > 0 || !roundCertainlyProgressed()))
+      // if this one inserted a new identity; a drop's identity could have
+      // made that differ. Not so for an item the first round inserted into
+      // a category no dropped composition belongs to: before the closure
+      // both builds held the same identities there, and the plain closure
+      // offers it in its first round too.
+      if (Pending && (Round > 0 || !Progressed))
         Doubt = true;
       if (C.Count == Before)
         break;
     }
 
-    if (Rejected && !Doubt)
-      Doubt = !settleLateTies();
+    for (unsigned K = 0; Rejected && K < NumCats && !Doubt; ++K)
+      Doubt = Builder.lateTie(static_cast<Cat>(K));
     Builder.finish();
     return !Doubt;
   }
@@ -629,20 +439,15 @@ private:
   CellBuilder Builder;
   /// Whether the open cell may drop compositions, and whether it has.
   bool Rejecting = false, Rejected = false;
+  /// The categories of the open cell's dropped compositions (not of their
+  /// unary images).
+  std::array<bool, NumCats> DroppedIn{};
   /// tryApply's reused buffers: the children's values, and the merged
   /// feature vector (plus the ternary merge's intermediate).
   std::vector<const SemValue *> Vals;
   FeatureVec Scratch, MergeTmp;
   std::vector<std::vector<Image>> ImageTable;
   std::vector<double> ImageScores;
-  /// The open cell's span, the stamp of its first composition, and
-  /// whether each composition (by stamp from there) was dropped.
-  unsigned CurI = 0, CurJ = 0;
-  uint32_t FirstCompose = 0;
-  std::vector<bool> DroppedAt;
-  /// scanDrops' open items; closure insertions a round may count on.
-  std::vector<uint32_t> Open;
-  std::vector<std::pair<Cat, uint32_t>> RoundNew;
   /// Rounding margin per unit of sum |weight * value|: 16 gamma_N, N
   /// covering any merged feature vector plus the extra ids (the error
   /// bound needs about 3 gamma_N; the rest absorbs the margin's own

@@ -23,21 +23,21 @@
 //     unary closure reads pre-beam items, so an item beaten in its own
 //     bucket can still place an image in another.
 // A drop's identity is unknown, yet in the plain algorithm it would hold
-// a slot, and slots break ties. So the cell settles, before its beams cut,
-// the order of every tie among items that arrived after a drop touching
-// their category: an item takes the slot of the first dropped offer of
-// its identity (found by applying the drops of its category that came
-// before it), and an item the closure inserted takes the place its source
-// holds in the closure's walk (Rule::Shape says which unary rules keep
-// that order). The cell rebuilds itself without dropping in the few cases
-// it cannot settle: a tie whose place stays unknown; a closure round that
-// changes a category it already walked while no item it inserted is
-// certainly new; an item a drop could have replaced placing a closure
-// image that is not beaten; two closure offers of one identity tying with
-// different features. Kept items, their features, scores and order are
-// therefore exactly those of the plain algorithm, which
-// tests/nlp/ReferenceChart keeps as a frozen copy (ChartRejectionTest and
-// fuzz/chart_fuzz.cpp compare the two).
+// a slot, and slots break ties. So the cell rebuilds itself without
+// dropping whenever a drop could have changed what its beams keep:
+//   * two items that arrived after a drop touching their category tie in
+//     score at or above its cut (the plain algorithm may order them
+//     otherwise);
+//   * a closure round changes a category it already walked: whether the
+//     next round runs depends on this one inserting a new identity, which
+//     a drop's identity could have made differ (the first round is proved
+//     by an insertion into a category no dropped composition belongs to);
+//   * an item a drop could have replaced places a closure image that is
+//     not beaten;
+//   * two closure offers of one identity tie with different features.
+// Kept items, their features, scores and order are therefore exactly those
+// of the plain algorithm, which tests/nlp/ReferenceChart keeps as a frozen
+// copy (ChartRejectionTest and fuzz/chart_fuzz.cpp compare the two).
 //
 //===----------------------------------------------------------------------===//
 
@@ -77,8 +77,8 @@ struct ChartCell {
 /// BeamPerCat best distinct identities so far (a replacement updates its
 /// identity's score, it never takes a second place), and per item the
 /// bookkeeping the parser needs to prove that the drops it made did not
-/// change the beam (see the file comment). Offers are stamped in arrival
-/// order; a drop is recorded at the stamp the next offer will get.
+/// change the beam (see the file comment). Offers and drops are stamped
+/// in arrival order.
 class CellBuilder {
 public:
   /// Bucket hash of a derivation's identity. Identity is always the full
@@ -91,19 +91,8 @@ public:
   struct Item {
     uint32_t Inserted; ///< stamp of the offer that inserted it
     uint32_t LastSet;  ///< stamp of the offer that set its derivation
-    /// The stamp of its identity's first offer as far as known: Inserted,
-    /// or an earlier drop's (slotAt()).
-    uint32_t Slot;
-    /// Orders ties at the cut: Slot, or see setOrder().
-    uint32_t Order;
     bool Suspect;      ///< see suspect()
     bool Fresh;        ///< see takeFresh()
-    bool Scanned;      ///< the parser looked for drops of its identity
-    /// Where the unary closure inserted it: the round (1-based; 0 for an
-    /// item that arrived before the closure), the source item and rule.
-    uint8_t Round;
-    uint16_t SourceCat;
-    uint32_t SourceIdx, Rule;
   };
 
   static constexpr uint32_t NoStamp = UINT32_MAX;
@@ -135,7 +124,6 @@ public:
       S.Items.clear();
       S.FirstTouch = NoStamp;
       S.MaxRejected = -std::numeric_limits<double>::infinity();
-      S.Reordered = false;
     }
   }
 
@@ -176,8 +164,7 @@ public:
     const uint32_t Idx = static_cast<uint32_t>(Cell->ByCat[C].size() - 1);
     Index.insert({C, Idx});
     Last = {C, Idx};
-    Cats[C].Items.push_back(
-        {Stamp, Stamp, Stamp, Stamp, false, true, false, 0, 0, 0, 0});
+    Cats[C].Items.push_back({Stamp, Stamp, false, true});
     raise(C, Idx, Score);
     ++Cell->Count;
     return Outcome::Inserted;
@@ -211,11 +198,8 @@ public:
     return Cell->ByCat[C].size() > Beam && Cats[C].Top.size() == Beam;
   }
 
-  /// Stamps an offer that is dropped unapplied (or that the rule rejects).
+  /// Stamps an offer that is dropped unapplied.
   uint32_t stampDrop() { return Clock++; }
-
-  /// The stamp the next offer or drop gets.
-  uint32_t nextStamp() const { return Clock; }
 
   /// Records that the offer dropped at \p Stamp had an image in category
   /// \p C scoring at most \p Score.
@@ -250,83 +234,42 @@ public:
     return std::exchange(Cats[C].Items[Idx].Fresh, false);
   }
 
-  /// The items of touched category \p C whose place in a build without
-  /// rejection is not known: they arrived after the category's first drop,
-  /// reach its beam, and tie in score with another such item. (A later
-  /// item of a dropped identity would have kept the dropped one's earlier
-  /// slot, and slots order ties.)
-  void lateTies(Cat C, std::vector<uint32_t> &Out) const {
-    Out.clear();
+  /// Whether two items of touched category \p C that arrived after the
+  /// category's first drop tie in score at or above its cut. Their order
+  /// in a build without rejection is not known: a later offer of a dropped
+  /// identity would have kept the dropped one's earlier slot, and slots
+  /// order ties.
+  bool lateTie(Cat C) {
     const CatState &S = Cats[C];
     if (S.FirstTouch == NoStamp)
-      return;
+      return false;
     const double Cut = S.Top.back().first;
     const std::vector<Derivation> &Bucket = Cell->ByCat[C];
+    LateScores.clear();
     for (uint32_t I = 0; I < Bucket.size(); ++I)
       if (S.Items[I].Inserted >= S.FirstTouch && Bucket[I].Score >= Cut)
-        Out.push_back(I);
-    std::sort(Out.begin(), Out.end(), [&Bucket](uint32_t A, uint32_t B) {
-      return Bucket[A].Score < Bucket[B].Score;
-    });
-    size_t Kept = 0;
-    for (size_t I = 0; I < Out.size(); ++I)
-      if ((I > 0 && Bucket[Out[I - 1]].Score == Bucket[Out[I]].Score) ||
-          (I + 1 < Out.size() &&
-           Bucket[Out[I + 1]].Score == Bucket[Out[I]].Score))
-        Out[Kept++] = Out[I];
-    Out.resize(Kept);
-  }
-
-  /// The bookkeeping of item \p Idx of category \p C.
-  Item &item(Cat C, uint32_t Idx) { return Cats[C].Items[Idx]; }
-
-  /// Records where the unary closure inserted the last item.
-  void setOrigin(unsigned Round, Cat SourceCat, uint32_t SourceIdx,
-                 uint32_t Rule) {
-    Item &I = Cats[Last.Category].Items[Last.Idx];
-    I.Round = static_cast<uint8_t>(Round);
-    I.SourceCat = SourceCat;
-    I.SourceIdx = SourceIdx;
-    I.Rule = Rule;
-  }
-
-  /// Whether the slot of item \p Idx of category \p C is one the unary
-  /// closure gave it.
-  bool slotInClosure(Cat C, uint32_t Idx) const {
-    return Cats[C].Items[Idx].Slot >= ClosureStart;
-  }
-
-  /// Reorders ties at the cut by giving item \p Idx of category \p C
-  /// order \p Order.
-  void setOrder(Cat C, uint32_t Idx, uint32_t Order) {
-    Cats[C].Items[Idx].Order = Order;
-    Cats[C].Reordered = true;
-  }
-
-  /// The open cell's items of category \p C.
-  const std::vector<Derivation> &bucket(Cat C) const { return Cell->ByCat[C]; }
-
-  /// The offer dropped at \p Stamp had item \p Idx's identity: the item's
-  /// slot, which orders it among ties, is that of the drop.
-  void slotAt(Cat C, uint32_t Idx, uint32_t Stamp) {
-    Item &I = Cats[C].Items[Idx];
-    I.Slot = I.Order = std::min(I.Slot, Stamp);
-    Cats[C].Reordered = true;
+        LateScores.push_back(Bucket[I].Score);
+    std::sort(LateScores.begin(), LateScores.end());
+    return std::adjacent_find(LateScores.begin(), LateScores.end()) !=
+           LateScores.end();
   }
 
   /// Applies the beam per category, so junk in one category can never
-  /// flush another category's derivations out of the cell, and ends it:
-  /// a bucket with more than BeamPerCat items keeps the best, ties broken
-  /// by slot (arrival order, or an earlier drop's slot after slotAt()).
+  /// flush another category's derivations out of the cell, and ends it
+  /// (ties go to the earlier arrival).
   /// Each bucket gives back the capacity its pre-beam candidates grew:
   /// the chart keeps every cell until the parse ends, so spare capacity
   /// would otherwise outlive the cell's construction in all of them.
   void finish() {
     size_t Kept = 0;
-    for (unsigned C = 0; C < NumCats; ++C) {
-      std::vector<Derivation> &Bucket = Cell->ByCat[C];
-      if (Bucket.size() > Beam)
-        cut(static_cast<Cat>(C), Bucket);
+    for (auto &Bucket : Cell->ByCat) {
+      if (Bucket.size() > Beam) {
+        std::stable_sort(Bucket.begin(), Bucket.end(),
+                         [](const Derivation &A, const Derivation &B) {
+                           return A.Score > B.Score;
+                         });
+        Bucket.resize(Beam);
+      }
       if (Bucket.capacity() > Bucket.size())
         Bucket.shrink_to_fit();
       Kept += Bucket.size();
@@ -370,8 +313,6 @@ private:
     /// a dropped offer's image here had.
     uint32_t FirstTouch = NoStamp;
     double MaxRejected = -std::numeric_limits<double>::infinity();
-    /// Whether some item's Order is not its Inserted stamp.
-    bool Reordered = false;
   };
 
   /// Item \p Idx of category \p C now scores \p Score (it is new or just
@@ -393,33 +334,6 @@ private:
       std::iter_swap(It, It - 1);
   }
 
-  /// Keeps the BeamPerCat best items of \p Bucket, best first, ties in
-  /// slot order.
-  void cut(Cat C, std::vector<Derivation> &Bucket) {
-    const auto Better = [](const Derivation &A, const Derivation &B) {
-      return A.Score > B.Score;
-    };
-    if (!Cats[C].Reordered) {
-      std::stable_sort(Bucket.begin(), Bucket.end(), Better);
-      Bucket.resize(Beam);
-      return;
-    }
-    const std::vector<Item> &Items = Cats[C].Items;
-    std::vector<uint32_t> Order(Bucket.size());
-    for (uint32_t I = 0; I < Order.size(); ++I)
-      Order[I] = I;
-    std::sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t B) {
-      if (Bucket[A].Score != Bucket[B].Score)
-        return Bucket[A].Score > Bucket[B].Score;
-      return Items[A].Order < Items[B].Order;
-    });
-    std::vector<Derivation> Best;
-    Best.reserve(Beam);
-    for (size_t I = 0; I < Beam; ++I)
-      Best.push_back(std::move(Bucket[Order[I]]));
-    Bucket = std::move(Best);
-  }
-
   ChartCell *Cell = nullptr;
   const Derivation *Probe = nullptr;
   std::unordered_set<Slot, SlotIdentity, SlotIdentity> Index;
@@ -428,6 +342,7 @@ private:
   uint32_t ClosureStart = NoStamp;
   Slot Last{0, 0};
   std::array<CatState, NumCats> Cats;
+  std::vector<double> LateScores; ///< lateTie()'s buffer
 };
 
 /// Parses \p Tokens under \p Weights; returns the root-category

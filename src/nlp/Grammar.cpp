@@ -194,18 +194,13 @@ void Grammar::buildRules() {
   using Args = std::vector<const SemValue *>;
 
   // --- Root / lists / holes ---
-  // Shapes of the unary rules (see Rule::Shape): a copy or a wrapper is
-  // injective; concrete sketches and holes never compare equal.
-  enum : int { CopyShape, ListShape, ConcreteShape, HoleShape };
   addRule(CatRoot, {CatSketch}, "root<-sketch", [](const Args &A) {
     return *A[0];
   });
-  Rules.back().Shape = CopyShape;
   addRule(CatList, {CatProgram}, "list<-program", [](const Args &A) {
     SketchPtr S = A[0]->asSketch();
     return SemValue::list({S});
   });
-  Rules.back().Shape = ListShape;
   addRule(CatList, {CatProgram, CatList}, "list<-cons", [](const Args &A) {
     SketchPtr S = A[0]->asSketch();
     std::vector<SketchPtr> L{S};
@@ -217,19 +212,15 @@ void Grammar::buildRules() {
   addRule(CatSketch, {CatList}, "sketch<-hole", [](const Args &A) {
     return SemValue::sketch(Sketch::hole(A[0]->List));
   });
-  Rules.back().Shape = HoleShape;
   addRule(CatSketch, {CatProgram}, "sketch<-concrete", [](const Args &A) {
     return SemValue::sketch(Sketch::concrete(A[0]->R));
   });
-  Rules.back().Shape = ConcreteShape;
 
   // --- Base programs ---
   addRule(CatProgram, {CatCC}, "program<-cc",
           [](const Args &A) { return *A[0]; });
-  Rules.back().Shape = CopyShape;
   addRule(CatProgram, {CatConst}, "program<-const",
           [](const Args &A) { return *A[0]; });
-  Rules.back().Shape = CopyShape;
   addRule(CatProgram, {CatConstSet}, "program<-constset", [](const Args &A) {
     // Fold the constant set into a disjunction.
     std::vector<RegexPtr> Rs;

@@ -99,12 +99,6 @@ struct Rule {
   std::function<std::optional<SemValue>(const std::vector<const SemValue *> &)>
       Apply;
   const char *Name;
-  /// For unary rules, what a result says about how it was made (the
-  /// chart's early rejection relies on it to order closure items): -1
-  /// promises nothing; otherwise distinct children give distinct results,
-  /// and a result never equals that of another unary rule into the same
-  /// category with a different, non-negative Shape.
-  int Shape = -1;
 };
 
 /// Lexicon entry: phrase of lemmas -> category + value.

@@ -135,33 +135,38 @@ TEST(CellBuilder, AFullBucketDoesNotMakeItsImagesBucketFull) {
   Builder.finish();
 }
 
-TEST(CellBuilder, ADroppedIdentityKeepsItsSlotAmongTies) {
-  // BeamPerCat 2. Two items score 4; an offer of identity 9 scoring 3 is
-  // dropped (two items beat it); later items 7 and 9 both score 5. A
-  // build that applied everything would have inserted 9 at the drop, so
-  // 9 sorts before 7, which arrived in between. The parser finds the drop
-  // of 9 among the late ties and moves 9's slot there.
+TEST(CellBuilder, OnlyTiesAmongItemsAfterADropAreLate) {
+  // BeamPerCat 2. Two items score 4; an offer scoring 3 is dropped (two
+  // items beat it). A build that applied it would have given its identity
+  // the drop's slot, which may sort before items that arrived later: only
+  // a tie between two such items, at or above the cut, leaves their order
+  // unknown (and makes the parser rebuild the cell without dropping).
   CellBuilder Builder;
   ChartCell Cell;
   Builder.start(Cell, /*BeamPerCat=*/2);
   Builder.add(item(CatInt, SemValue::intval(1), 4.0));
   Builder.add(item(CatInt, SemValue::intval(2), 4.0));
   Builder.add(item(CatInt, SemValue::intval(3), 0.0));
+  EXPECT_FALSE(Builder.lateTie(CatInt));
   ASSERT_TRUE(Builder.beaten(CatInt, 3.0));
-  const uint32_t Drop = Builder.stampDrop();
-  Builder.rejected(CatInt, 3.0, Drop);
-  Builder.add(item(CatInt, SemValue::intval(7), 5.0));
-  Builder.add(item(CatInt, SemValue::intval(9), 5.0));
-  std::vector<uint32_t> Late;
-  Builder.lateTies(CatInt, Late);
-  ASSERT_EQ(Late.size(), 2u);
-  const uint32_t Nine = Cell.ByCat[CatInt][Late[0]].Val.I == 9 ? Late[0]
-                                                                : Late[1];
-  Builder.slotAt(CatInt, Nine, Drop);
+  Builder.rejected(CatInt, 3.0, Builder.stampDrop());
+  // A late item tying with the early ones: the early ones keep their
+  // earlier slots either way.
+  Builder.add(item(CatInt, SemValue::intval(7), 4.0));
+  EXPECT_FALSE(Builder.lateTie(CatInt));
+  // Two late items tying below the cut are cut either way.
+  Builder.add(item(CatInt, SemValue::intval(8), 1.0));
+  Builder.add(item(CatInt, SemValue::intval(9), 1.0));
+  EXPECT_FALSE(Builder.lateTie(CatInt));
+  // Two late items tying at the cut.
+  Builder.add(item(CatInt, SemValue::intval(10), 5.0));
+  Builder.add(item(CatInt, SemValue::intval(11), 4.0));
+  EXPECT_TRUE(Builder.lateTie(CatInt));
+  // An untouched category has no late items.
+  Builder.add(item(CatProgram, re("<num>"), 1.0));
+  Builder.add(item(CatProgram, re("<let>"), 1.0));
+  EXPECT_FALSE(Builder.lateTie(CatProgram));
   Builder.finish();
-  ASSERT_EQ(Cell.ByCat[CatInt].size(), 2u);
-  EXPECT_EQ(Cell.ByCat[CatInt][0].Val.I, 9);
-  EXPECT_EQ(Cell.ByCat[CatInt][1].Val.I, 7);
 }
 
 TEST(SemValue, EqualityIsStructural) {

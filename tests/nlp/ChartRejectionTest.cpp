@@ -19,6 +19,7 @@
 #include "ReferenceChart.h"
 #include "TrainedParser.h"
 
+#include "data/DeepRegexSet.h"
 #include "data/StackOverflowSet.h"
 #include "support/Hash.h"
 

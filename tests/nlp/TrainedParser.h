@@ -1,17 +1,14 @@
 //===- tests/nlp/TrainedParser.h - The benches' trained parser --*- C++ -*-===//
 //
-// The DeepRegex-trained parser that bench::trainedParserForDeepRegex
-// builds and perfbench serves, trained once per test binary: the recipe
-// (training set, label order, epochs) is repeated here because the tests
-// do not link the bench library.
+// The DeepRegex-trained parser the benches build and perfbench serves
+// (data::trainDeepRegexParser), trained once per test binary.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef REGEL_TESTS_NLP_TRAINEDPARSER_H
 #define REGEL_TESTS_NLP_TRAINEDPARSER_H
 
-#include "data/DeepRegexSet.h"
-#include "nlp/Training.h"
+#include "data/DeepRegexParser.h"
 
 namespace regel::nlp::fixtures {
 
@@ -24,15 +21,7 @@ struct TrainedParser {
 inline const TrainedParser &deepRegexTrained() {
   static const TrainedParser Trained = [] {
     TrainedParser T;
-    std::vector<data::Benchmark> Train = data::deepRegexSet(150, 0x7ea1);
-    std::vector<TrainExample> Examples;
-    for (const data::Benchmark &B : Train)
-      Examples.push_back({B.Description, B.GoldSketch});
-    for (const data::Benchmark &B : Train)
-      Examples.push_back({B.Description, Sketch::concrete(B.GroundTruth)});
-    TrainConfig Cfg;
-    Cfg.Epochs = 3;
-    T.Report = trainParser(T.Parser, Examples, Cfg);
+    T.Report = data::trainDeepRegexParser(T.Parser);
     return T;
   }();
   return Trained;

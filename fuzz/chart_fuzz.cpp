@@ -8,7 +8,8 @@
 //
 // Input layout: byte 0 picks the weights (0: the untrained priors; odd:
 // seeded random weights on a 0.25 grid, where exact ties abound; even:
-// seeded random weights), byte 1 the beam (1 + byte % 14), and each later
+// seeded random weights), which both charts see rounded to the 2^-32 grid
+// parseChart scores on; byte 1 the beam (1 + byte % 14); and each later
 // byte one token: a word of the StackOverflow descriptions that belongs to
 // a lexicon phrase there, a number (the next byte gives its
 // value) or a one-character quoted literal (the next byte gives it). At
@@ -80,18 +81,19 @@ bool sameRoots(const std::vector<Derivation> &A,
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
   if (Size < 3)
     return 0;
-  static const SemanticParser Untrained;
-  SemanticParser P;
+  static const SemanticParser Parser;
+  std::vector<double> Weights = Parser.weights();
   if (Data[0] != 0) {
     uint64_t State = Data[0];
-    for (double &W : P.weights()) {
+    for (double &W : Weights) {
       State = mix64(State);
       W = static_cast<double>(State >> 11) * 0x1.0p-53 * 2 - 1;
       if (Data[0] % 2)
         W = std::round(W * 4) / 4;
     }
   }
-  const SemanticParser &Parser = Data[0] ? P : Untrained;
+  for (double &W : Weights)
+    W = gridWeight(W);
   ParserConfig Cfg;
   Cfg.BeamPerCat = 1 + Data[1] % 14;
 
@@ -119,9 +121,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
 
   std::vector<Derivation> Want =
       reference::parseChart(Parser.grammar(), Parser.featureSpace(), Tokens,
-                            Parser.weights(), Cfg);
+                            Weights, Cfg);
   std::vector<Derivation> Got = parseChart(
-      Parser.grammar(), Parser.featureSpace(), Tokens, Parser.weights(), Cfg);
+      Parser.grammar(), Parser.featureSpace(), Tokens, Weights, Cfg);
   if (!sameRoots(Want, Got))
     __builtin_trap();
   return 0;

@@ -236,12 +236,12 @@ std::vector<Benchmark> regel::data::deepRegexSet(unsigned Count,
                                                  uint64_t Seed) {
   std::vector<Benchmark> Out;
   Rng R(Seed);
-  std::unordered_set<size_t> SeenRegex;
+  std::unordered_set<RegexPtr, RegexPtrHash, RegexPtrEq> SeenRegex;
   unsigned Attempts = 0;
   while (Out.size() < Count && ++Attempts < Count * 50) {
     Sample S = sampleBenchmark(R);
     S.Text = paraphrase(std::move(S.Text), R);
-    if (!SeenRegex.insert(S.R->hash()).second)
+    if (!SeenRegex.insert(S.R).second)
       continue; // regex duplicates make the accuracy metric ambiguous
     GeneratedExamples E = generateExamples(S.R, R);
     if (!E.Ok)

@@ -439,7 +439,7 @@ void Engine::runSketchTask(const JobPtr &J, unsigned Rank) {
         // flag must not push past the TopK contract.
         if (J->Result.Answers.size() >= Req.TopK)
           break;
-        if (!J->SeenHashes.insert(R->hash()).second)
+        if (!J->SeenAnswers.insert(R).second)
           continue;
         J->Result.Answers.push_back({std::move(R), Rank, Req.Sketches[Rank]});
         if (J->Result.Answers.size() >= Req.TopK) {
@@ -479,7 +479,7 @@ void Engine::finalize(const JobPtr &J) {
            J->Result.Answers.size() < J->Req.TopK;
            ++Rank) {
         for (RegexPtr &R : J->PerSketch[Rank]) {
-          if (!J->SeenHashes.insert(R->hash()).second)
+          if (!J->SeenAnswers.insert(R).second)
             continue;
           J->Result.Answers.push_back(
               {std::move(R), Rank, J->Req.Sketches[Rank]});

@@ -149,6 +149,18 @@ struct JobResult {
   bool solved() const { return !Answers.empty(); }
 };
 
+/// The distinct answers a job has collected. Identity is full structural
+/// equality (RegexPtrEq); the hash only picks buckets, so a collision can
+/// never merge two distinct answers, and tests can inject a degenerate hash
+/// to pin that. A null function selects Regex::hash.
+struct AnswerHash {
+  size_t (*Fn)(const RegexPtr &) = nullptr;
+  size_t operator()(const RegexPtr &R) const {
+    return Fn ? Fn(R) : R->hash();
+  }
+};
+using AnswerSet = std::unordered_set<RegexPtr, AnswerHash, RegexPtrEq>;
+
 /// Handle to a submitted job. Created by Engine::submit; shared between
 /// the client and the in-flight tasks.
 class SynthJob {
@@ -284,7 +296,7 @@ private:
   /// Pending continuations (pre-Ready).
   std::vector<Callback> Callbacks REGEL_GUARDED_BY(M);
   /// Structural dedup across sketches.
-  std::unordered_set<size_t> SeenHashes REGEL_GUARDED_BY(M);
+  AnswerSet SeenAnswers REGEL_GUARDED_BY(M);
   /// Deterministic buckets.
   std::vector<std::vector<RegexPtr>> PerSketch REGEL_GUARDED_BY(M);
   JobResult Result REGEL_GUARDED_BY(M);

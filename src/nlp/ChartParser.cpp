@@ -7,7 +7,6 @@
 #include <cassert>
 #include <cmath>
 #include <initializer_list>
-#include <limits>
 #include <optional>
 
 using namespace regel;
@@ -15,15 +14,39 @@ using namespace regel::nlp;
 
 namespace {
 
-class ChartSession {
-  /// Longest unary chain in the grammar (ConstSet to Root).
-  static constexpr size_t MaxChain = 4;
+/// \p W on the weight grid (Features.h), one weight per feature (a missing
+/// one is 0), so every score of a parse under it is exact. A derivation
+/// over n tokens has at most n leaves and skips (one feature each), fewer
+/// compositions than leaves (two each), and above each leaf and each
+/// composition a unary chain of at most C rules (two each): it fires at
+/// most (3 + 4C) n features.
+std::vector<double> onGrid(const Grammar &G, const FeatureSpace &FS,
+                            const std::vector<double> &W,
+                            const ParserConfig &Cfg) {
+  std::vector<double> Out(FS.size(), 0.0);
+  double MaxWeight = 0;
+  for (size_t I = 0; I < Out.size() && I < W.size(); ++I) {
+    Out[I] = gridWeight(W[I]);
+    MaxWeight = std::max(MaxWeight, std::fabs(Out[I]));
+  }
+  size_t Chain = 0;
+  for (unsigned C = 0; C < NumCats; ++C)
+    for (const UnaryChain &Ch : G.unaryChains(static_cast<Cat>(C)))
+      Chain = std::max(Chain, Ch.Rules.size());
+  const double MaxFired = (3.0 + 4.0 * Chain) * Cfg.MaxTokens;
+  assert(MaxWeight * MaxFired < ExactScoreBound &&
+         "weights too large for exact chart scores");
+  (void)MaxFired;
+  return Out;
+}
 
+class ChartSession {
 public:
   ChartSession(const Grammar &G, const FeatureSpace &FS,
                const std::vector<Token> &Tokens,
                const std::vector<double> &Weights, const ParserConfig &Cfg)
-      : G(G), FS(FS), Tokens(Tokens), Weights(Weights), Cfg(Cfg) {
+      : G(G), FS(FS), Tokens(Tokens), Weights(onGrid(G, FS, Weights, Cfg)),
+        Cfg(Cfg) {
     N = static_cast<unsigned>(Tokens.size());
     Chart.resize(static_cast<size_t>(N + 1) * (N + 1));
     ImageTable.resize(G.rules().size() * FeatureSpace::SpanBuckets);
@@ -47,12 +70,6 @@ public:
 private:
   ChartCell &cell(unsigned I, unsigned J) { return Chart[I * (N + 1) + J]; }
 
-  /// Sets the score of lexical item \p D, which fired one feature.
-  void score(Derivation &D) const {
-    D.Score = dotFeatures(D.Features, Weights);
-    D.Fired = 1;
-  }
-
   /// Lexical pass: phrases of lemmas, number tokens and quoted literals.
   void seedLexical() {
     Lexical.assign(static_cast<size_t>(N + 1) * (N + 1), {});
@@ -70,7 +87,7 @@ private:
             D.Category = E.Category;
             D.Val = E.Val;
             addFeature(D.Features, FS.lexFeature(E.Category), 1.0f);
-            score(D);
+            D.Score = dotFeatures(D.Features, Weights);
             Lexical[I * (N + 1) + J].push_back(std::move(D));
           }
         }
@@ -81,7 +98,7 @@ private:
         D.Category = CatInt;
         D.Val = SemValue::intval(T.Value);
         addFeature(D.Features, FS.lexFeature(CatInt), 1.0f);
-        score(D);
+        D.Score = dotFeatures(D.Features, Weights);
         Lexical[I * (N + 1) + (I + 1)].push_back(std::move(D));
       }
       if (T.Kind == TokenKind::Quoted && !T.Literal.empty()) {
@@ -100,46 +117,42 @@ private:
           D.Category = CatConst;
           D.Val = SemValue::regex(Regex::concatAll(Parts));
           addFeature(D.Features, FS.lexFeature(CatConst), 1.0f);
-          score(D);
+          D.Score = dotFeatures(D.Features, Weights);
           Lexical[I * (N + 1) + (I + 1)].push_back(std::move(D));
         }
       }
     }
   }
 
-  /// Applies \p R to \p Kids and offers the result to the open cell. The
-  /// merged features live in Scratch until the cell keeps the item; the
-  /// score is dotFeatures over exactly that merged vector, so it matches
-  /// (bit for bit) the score of the vector the cell stores. Returns what
-  /// the offer did, or nullopt when the rule rejects the children.
+  /// Applies \p R to \p Kids and offers the result, which scores
+  /// \p Score, to the open cell. The children's feature vectors are merged
+  /// only when the cell keeps the item. Returns what the offer did, or
+  /// nullopt when the rule rejects the children.
   std::optional<CellBuilder::Outcome>
   tryApply(const Rule &R, std::initializer_list<const Derivation *> Kids,
-           unsigned SpanLen) {
+           unsigned SpanLen, double Score) {
     Vals.clear();
     for (const Derivation *K : Kids)
       Vals.push_back(&K->Val);
     std::optional<SemValue> Res = R.Apply(Vals);
     if (!Res)
       return std::nullopt;
-    mergeKids(Kids);
-    uint32_t RuleIdx = static_cast<uint32_t>(&R - G.rules().data());
-    addFeature(Scratch, FS.ruleFeature(RuleIdx), 1.0f);
-    addFeature(Scratch, FS.spanFeature(R.Lhs, SpanLen), 1.0f);
     Derivation D;
     D.Category = R.Lhs;
-    D.Fired = 2;
-    for (const Derivation *K : Kids)
-      D.Fired += K->Fired;
     D.Val = std::move(*Res);
-    D.Score = dotFeatures(Scratch, Weights);
-    return Builder.offer(D, D.Score, [this, &D] {
+    D.Score = Score;
+    return Builder.offer(D, Score, [&] {
+      buildFeatures(R, Kids, SpanLen);
       D.Features = Scratch;
       return std::move(D);
     });
   }
 
-  /// Scratch = the merged feature vectors of \p Kids.
-  void mergeKids(std::initializer_list<const Derivation *> Kids) {
+  /// Scratch = the features of \p R applied to \p Kids over \p SpanLen
+  /// tokens: the children's merged vectors plus R's rule and span features.
+  void buildFeatures(const Rule &R,
+                     std::initializer_list<const Derivation *> Kids,
+                     unsigned SpanLen) {
     const Derivation *const *K = Kids.begin();
     switch (Kids.size()) {
     case 1:
@@ -153,15 +166,19 @@ private:
       mergeFeaturesInto(Scratch, MergeTmp, K[2]->Features);
       break;
     }
+    addFeature(Scratch, FS.ruleFeature(ruleIndex(R)), 1.0f);
+    addFeature(Scratch, FS.spanFeature(R.Lhs, SpanLen), 1.0f);
   }
 
-  /// An offered item or one of its unary images, as early rejection sees
-  /// it: its category, the rule and span feature ids it adds to its
-  /// children's features (sorted), and the sum of their weights.
+  uint32_t ruleIndex(const Rule &R) const {
+    return static_cast<uint32_t>(&R - G.rules().data());
+  }
+
+  /// An item of some rule or one of its unary images, as early rejection
+  /// sees it: its category, and the summed weights of the rule and span
+  /// features it adds to the rule's children.
   struct Image {
     Cat Target;
-    std::array<uint32_t, 2 + 2 * MaxChain> Ids;
-    size_t NumIds;
     double Weight;
   };
 
@@ -176,106 +193,39 @@ private:
     if (!Out.empty())
       return Out;
     const Cat Lhs = G.rules()[RuleIdx].Lhs;
-    const std::vector<UnaryChain> &Chains = G.unaryChains(Lhs);
-    Out.resize(1 + Chains.size());
-    for (size_t I = 0; I < Out.size(); ++I) {
-      Image &Im = Out[I];
-      Im.Target = I == 0 ? Lhs : Chains[I - 1].target();
-      Im.Ids[0] = FS.ruleFeature(RuleIdx);
-      Im.Ids[1] = FS.spanFeature(Lhs, SpanLen);
-      Im.NumIds = 2;
-      if (I > 0) {
-        const UnaryChain &Ch = Chains[I - 1];
-        assert(Ch.Rules.size() <= MaxChain && "unary chain too long");
-        for (size_t Step = 0; Step < Ch.Rules.size(); ++Step) {
-          Im.Ids[Im.NumIds++] = FS.ruleFeature(Ch.Rules[Step]);
-          Im.Ids[Im.NumIds++] = FS.spanFeature(Ch.Cats[Step], SpanLen);
-        }
-      }
-      std::sort(Im.Ids.begin(),
-                Im.Ids.begin() + static_cast<ptrdiff_t>(Im.NumIds));
-      Im.Weight = 0;
-      for (size_t K = 0; K < Im.NumIds; ++K)
-        if (Im.Ids[K] < Weights.size())
-          Im.Weight += Weights[Im.Ids[K]];
+    const double Own = Weights[FS.ruleFeature(RuleIdx)] +
+                       Weights[FS.spanFeature(Lhs, SpanLen)];
+    Out.push_back({Lhs, Own});
+    for (const UnaryChain &Ch : G.unaryChains(Lhs)) {
+      double Weight = Own;
+      for (size_t Step = 0; Step < Ch.Rules.size(); ++Step)
+        Weight += Weights[FS.ruleFeature(Ch.Rules[Step])] +
+                  Weights[FS.spanFeature(Ch.Cats[Step], SpanLen)];
+      Out.push_back({Ch.target(), Weight});
     }
     return Out;
   }
 
-  /// Early rejection (see ChartParser.h): whether applying \p R to
-  /// \p Kids would give an item that is beaten in its category and whose
-  /// every unary image is beaten in its own.
-  ///
-  /// A first verdict adds the children's scores and the extra features'
-  /// weights. That sum differs from the exact score (dotFeatures over the
-  /// merged vector) only by rounding: by at most a few gamma_N times the
-  /// sum of |weight * value| over the features (Higham's bound for an
-  /// N-term dot product, applied to the children's sums, this sum and the
-  /// exact one), which the largest |weight| times the number of features
-  /// fired bounds. A verdict within a generous margin of that is settled
-  /// by the exact score, summed as dotFeatures sums the stored vector.
-  bool beatenEverywhere(const Rule &R,
-                        std::initializer_list<const Derivation *> Kids,
-                        unsigned SpanLen) {
-    if (!Builder.full(R.Lhs))
-      return false;
-    for (const UnaryChain &Ch : G.unaryChains(R.Lhs))
-      if (!Builder.full(Ch.target()))
-        return false;
-
-    const uint32_t RuleIdx = static_cast<uint32_t>(&R - G.rules().data());
-    const std::vector<Image> &Ims = imagesOf(RuleIdx, SpanLen);
-    double KidScores = 0;
-    uint32_t Fired = 0;
-    for (const Derivation *K : Kids) {
-      KidScores += K->Score;
-      Fired += K->Fired;
-    }
-    ImageScores.resize(Ims.size());
-    bool Unsure = false;
-    for (size_t I = 0; I < Ims.size(); ++I) {
-      const Image &Im = Ims[I];
-      const double Approx = KidScores + Im.Weight;
-      const double Cut = Builder.threshold(Im.Target);
-      const double Margin =
-          Slack * (MaxWeight * (Fired + Im.NumIds) + std::fabs(Cut));
-      if (Approx - Margin >= Cut)
-        return false;
-      if (Approx + Margin < Cut) {
-        // The exact score is below Approx + Margin, which is what the
-        // rejection is recorded with.
-        ImageScores[I] = Approx + Margin;
-        continue;
-      }
-      ImageScores[I] = std::numeric_limits<double>::quiet_NaN();
-      Unsure = true;
-    }
-    if (Unsure) {
-      mergeKids(Kids);
-      for (size_t I = 0; I < Ims.size(); ++I) {
-        if (!std::isnan(ImageScores[I]))
-          continue;
-        ImageScores[I] = dotFeaturesWith(Scratch, Ims[I].Ids.data(),
-                                         Ims[I].NumIds, Weights);
-        if (!Builder.beaten(Ims[I].Target, ImageScores[I]))
-          return false;
-      }
-    }
-    const uint32_t Stamp = Builder.stampDrop();
-    for (size_t I = 0; I < Ims.size(); ++I)
-      Builder.rejected(Ims[I].Target, ImageScores[I], Stamp);
-    Rejected = true;
-    DroppedIn[R.Lhs] = true;
-    return true;
-  }
-
-  /// Offers the composition of \p R over \p Kids to the open cell, unless
-  /// early rejection drops it unapplied.
+  /// Offers the composition of \p R over \p Kids to the open cell. Early
+  /// rejection (see ChartParser.h) drops it unapplied instead when it is
+  /// beaten in its own category, and records its images' scores for the
+  /// end-of-cell check.
   void compose(const Rule &R, std::initializer_list<const Derivation *> Kids,
                unsigned SpanLen) {
-    if (Rejecting && beatenEverywhere(R, Kids, SpanLen))
+    const std::vector<Image> &Ims = imagesOf(ruleIndex(R), SpanLen);
+    double KidScores = 0;
+    for (const Derivation *K : Kids)
+      KidScores += K->Score;
+    const double Score = KidScores + Ims[0].Weight;
+    if (Rejecting && Builder.beaten(R.Lhs, Score)) {
+      const uint32_t Stamp = Builder.stampDrop();
+      for (const Image &Im : Ims)
+        Builder.rejected(Im.Target, KidScores + Im.Weight, Stamp);
+      Rejected = true;
+      DroppedIn[R.Lhs] = true;
       return;
-    tryApply(R, Kids, SpanLen);
+    }
+    tryApply(R, Kids, SpanLen, Score);
   }
 
   void buildCell(unsigned I, unsigned J) {
@@ -298,16 +248,14 @@ private:
     unsigned Len = J - I;
 
     // Skip-extension: inherit from the two sub-spans one token shorter,
-    // firing the skipped-token feature. The score adds the skip feature
-    // inside the dot product, and the extended item is built only when
-    // the cell keeps it.
+    // firing the skipped-token feature. The extended item is built only
+    // when the cell keeps it.
     if (Len >= 2) {
       const uint32_t Skip = FS.skipFeature();
       for (const ChartCell *From : {&cell(I, J - 1), &cell(I + 1, J)})
         for (const auto &Bucket : From->ByCat)
           for (const Derivation &D : Bucket) {
-            const double Score =
-                dotFeaturesWith(D.Features, &Skip, 1, Weights);
+            const double Score = D.Score + Weights[Skip];
             Builder.offer(D, Score, [&D, Skip, Score] {
               Derivation E;
               E.Category = D.Category;
@@ -316,7 +264,6 @@ private:
               E.Features = D.Features;
               addFeature(E.Features, Skip, 1.0f);
               E.Score = Score;
-              E.Fired = D.Fired + 1;
               return E;
             });
           }
@@ -383,7 +330,8 @@ private:
           const bool Suspect = Rejected && Builder.suspect(FromCat, Src);
           for (uint32_t RuleIdx : Unary) {
             const Rule &R = G.rules()[RuleIdx];
-            std::optional<CellBuilder::Outcome> O = tryApply(R, {&D}, Len);
+            std::optional<CellBuilder::Outcome> O = tryApply(
+                R, {&D}, Len, D.Score + imagesOf(RuleIdx, Len)[0].Weight);
             if (!Rejected || !O || *O == CellBuilder::Outcome::Dropped)
               continue;
             const bool Changed = *O != CellBuilder::Outcome::Tied;
@@ -399,9 +347,11 @@ private:
               // Two closure offers of one identity tie: the first one the
               // closure walks keeps its features, and drops can change the
               // walk order of late items.
-              if (Builder.touched(R.Lhs) && Builder.lastSetInClosure() &&
-                  Builder.lastItem().Features != Scratch)
-                Doubt = true;
+              if (Builder.touched(R.Lhs) && Builder.lastSetInClosure()) {
+                buildFeatures(R, {&D}, Len);
+                if (Builder.lastItem().Features != Scratch)
+                  Doubt = true;
+              }
             } else {
               Builder.setSuspect(false);
             }
@@ -423,6 +373,10 @@ private:
         break;
     }
 
+    // Every dropped image must be cut by the final beam of its category,
+    // and no two late items may tie where the beam cuts.
+    if (Rejected && !Doubt)
+      Doubt = !Builder.imagesBeaten();
     for (unsigned K = 0; Rejected && K < NumCats && !Doubt; ++K)
       Doubt = Builder.lateTie(static_cast<Cat>(K));
     Builder.finish();
@@ -432,7 +386,8 @@ private:
   const Grammar &G;
   const FeatureSpace &FS;
   const std::vector<Token> &Tokens;
-  const std::vector<double> &Weights;
+  /// The weights on the grid, one per feature.
+  const std::vector<double> Weights;
   const ParserConfig &Cfg;
   unsigned N;
   std::vector<ChartCell> Chart;
@@ -447,23 +402,6 @@ private:
   std::vector<const SemValue *> Vals;
   FeatureVec Scratch, MergeTmp;
   std::vector<std::vector<Image>> ImageTable;
-  std::vector<double> ImageScores;
-  /// Rounding margin per unit of sum |weight * value|: 16 gamma_N, N
-  /// covering any merged feature vector plus the extra ids (the error
-  /// bound needs about 3 gamma_N; the rest absorbs the margin's own
-  /// rounding).
-  const double Slack = [this] {
-    const double N = FS.size() + 2 + 2 * MaxChain;
-    const double U = std::ldexp(1.0, -53);
-    return 16 * N * U / (1 - N * U);
-  }();
-  /// The largest |weight|.
-  const double MaxWeight = [this] {
-    double Max = 0;
-    for (double W : Weights)
-      Max = std::max(Max, std::fabs(W));
-    return Max;
-  }();
   std::vector<std::vector<Derivation>> Lexical;
 };
 

@@ -6,25 +6,33 @@
 // skipped (each skip extends a derivation's span by one token and fires a
 // skip feature); every cell keeps a score beam.
 //
+// Scores. Each parse rounds the weights onto a grid of multiples of 2^-32
+// (Features.h), on which every score is an exact sum: a skip extension
+// scores its source plus the skip weight, and a composition or unary
+// application scores its children's scores plus the weights of its rule
+// and span features, bit for bit what dotFeatures over its merged vector
+// gives. Feature vectors are merged only for items a cell keeps.
+//
 // Early rejection. A binary or ternary composition is scored before
-// Rule::Apply runs, from its children's scores plus the weights of the
-// rule and span features it adds; a margin of a few rounding units per
-// unit of mass separates that sum from the exact score, and inside the
-// margin the exact score is summed as dotFeatures sums the stored vector,
-// so every verdict holds for the bit-exact score. The composition is
-// dropped there, never applied, when
-//   * BeamPerCat distinct identities of its category already score
-//     strictly higher (a tie is kept: an equal-score item that arrived
-//     earlier wins the beam's stable sort), and the bucket holds at least
-//     one item more than that (so a drop never decides whether it is cut);
-//   * the same holds, in the target category, for each image of the item
-//     under every chain of unary rules (CC/Const/ConstSet -> PROGRAM ->
-//     LIST -> SKETCH -> ROOT, DECNUM -> SKETCH), scored the same way: the
-//     unary closure reads pre-beam items, so an item beaten in its own
-//     bucket can still place an image in another.
+// Rule::Apply runs, and dropped there, never applied, when it is beaten in
+// its own category: BeamPerCat distinct identities of that category
+// already score strictly higher (a tie is kept: an equal-score item that
+// arrived earlier wins the beam's stable sort), and the bucket holds at
+// least one item more than that (so a drop never decides whether it is
+// cut). The unary closure reads pre-beam items, so in a build without
+// rejection the dropped item would still offer its images under every
+// chain of unary rules (CC/Const/ConstSet -> PROGRAM -> LIST -> SKETCH ->
+// ROOT, DECNUM -> SKETCH). Each image's exact score is recorded with its
+// category, and when the cell ends each such category must be over the
+// beam with its BeamPerCat-th best distinct score strictly above the best
+// recorded image there (CellBuilder::imagesBeaten): no image of a drop
+// could then have reached a beam.
+//
 // A drop's identity is unknown, yet in the plain algorithm it would hold
 // a slot, and slots break ties. So the cell rebuilds itself without
 // dropping whenever a drop could have changed what its beams keep:
+//   * a category a dropped image would have reached is not over the beam,
+//     or its cut does not beat that image;
 //   * two items that arrived after a drop touching their category tie in
 //     score at or above its cut (the plain algorithm may order them
 //     otherwise);
@@ -37,7 +45,8 @@
 //   * two closure offers of one identity tie with different features.
 // Kept items, their features, scores and order are therefore exactly those
 // of the plain algorithm, which tests/nlp/ReferenceChart keeps as a frozen
-// copy (ChartRejectionTest and fuzz/chart_fuzz.cpp compare the two).
+// copy (ChartRejectionTest and fuzz/chart_fuzz.cpp compare the two on grid
+// weights).
 //
 //===----------------------------------------------------------------------===//
 
@@ -202,7 +211,7 @@ public:
   uint32_t stampDrop() { return Clock++; }
 
   /// Records that the offer dropped at \p Stamp had an image in category
-  /// \p C scoring at most \p Score.
+  /// \p C scoring \p Score.
   void rejected(Cat C, double Score, uint32_t Stamp) {
     CatState &S = Cats[C];
     S.FirstTouch = std::min(S.FirstTouch, Stamp);
@@ -211,6 +220,18 @@ public:
 
   /// Whether a dropped offer could have had an image in category \p C.
   bool touched(Cat C) const { return Cats[C].FirstTouch != NoStamp; }
+
+  /// Whether the final beam of every touched category cuts every image a
+  /// dropped offer recorded there: the category is over the beam, and its
+  /// BeamPerCat-th best distinct score is strictly above the best such
+  /// image's. Call before finish().
+  bool imagesBeaten() const {
+    for (unsigned C = 0; C < NumCats; ++C)
+      if (touched(static_cast<Cat>(C)) &&
+          !beaten(static_cast<Cat>(C), Cats[C].MaxRejected))
+        return false;
+    return true;
+  }
 
   /// Whether item \p Idx of category \p C may hold another derivation than
   /// a build without rejection would: a dropped offer of the same identity

@@ -2,7 +2,9 @@
 //
 // Part of the Regel reproduction. A derivation is one chart item: a
 // category plus semantic value over a token span, with its aggregated
-// feature vector and model score.
+// feature vector and model score. Under the chart's grid weights (see
+// Features.h) the score is exact: its children's scores plus the weights
+// of the features it adds, which is also dotFeatures over its vector.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,9 +18,6 @@ namespace regel::nlp {
 /// One chart item.
 struct Derivation {
   Cat Category;
-  /// How many features fired, counting repeats (the sum of Features'
-  /// values): it bounds the rounding error in Score.
-  uint32_t Fired = 0;
   SemValue Val;
   FeatureVec Features;
   double Score = 0;

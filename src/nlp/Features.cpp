@@ -3,6 +3,7 @@
 #include "nlp/Features.h"
 
 #include <algorithm>
+#include <cmath>
 
 using namespace regel::nlp;
 
@@ -48,24 +49,7 @@ double regel::nlp::dotFeatures(const FeatureVec &V,
   return Sum;
 }
 
-double regel::nlp::dotFeaturesWith(const FeatureVec &V, const uint32_t *Ids,
-                                   size_t NumIds,
-                                   const std::vector<double> &Weights) {
-  double Sum = 0;
-  size_t E = 0;
-  // The term of feature Id, worth Val plus one per repeat of Id in Ids.
-  auto Term = [&](uint32_t Id, float Val) {
-    for (; E < NumIds && Ids[E] == Id; ++E)
-      Val += 1.0f;
-    if (Id < Weights.size())
-      Sum += Weights[Id] * Val;
-  };
-  for (const auto &[I, Val] : V) {
-    while (E < NumIds && Ids[E] < I)
-      Term(Ids[E], 0.0f);
-    Term(I, Val);
-  }
-  while (E < NumIds)
-    Term(Ids[E], 0.0f);
-  return Sum;
+double regel::nlp::gridWeight(double W) {
+  return std::ldexp(std::nearbyint(std::ldexp(W, WeightGridBits)),
+                    -WeightGridBits);
 }

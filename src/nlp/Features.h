@@ -2,7 +2,8 @@
 //
 // Part of the Regel reproduction. Feature layout for the discriminative
 // log-linear model of Sec. 5.3: rule-fire features, lexical-category
-// features, a skipped-token feature and span-length features.
+// features, a skipped-token feature and span-length features, and the
+// weight grid on which chart scores are exact.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,13 +30,21 @@ void mergeFeaturesInto(FeatureVec &Out, const FeatureVec &V,
 /// Dot product with a dense weight vector, summed in id order.
 double dotFeatures(const FeatureVec &V, const std::vector<double> &Weights);
 
-/// dotFeatures of V with 1 added to each of the \p NumIds features \p Ids
-/// (ascending; an id may repeat), without building that vector: the same
-/// terms, summed in the same order, so the result is bit-identical to
-/// copying V, calling addFeature for each id and then dotFeatures. Feature
-/// values are counts, so the per-id sums are exact in any order.
-double dotFeaturesWith(const FeatureVec &V, const uint32_t *Ids,
-                       size_t NumIds, const std::vector<double> &Weights);
+/// Chart scores are exact sums. The chart parser rounds every weight to a
+/// multiple of 2^-WeightGridBits (gridWeight) once per parse, and feature
+/// values are counts, so every product and partial sum of a score is a
+/// whole number of 2^-WeightGridBits units. It is therefore exact while its
+/// magnitude stays below ExactScoreBound (2^53 units): the largest |weight|
+/// times the number of features a derivation fires, counting repeats, must
+/// stay below it, which the parser asserts per parse. A score then equals
+/// the sum of its terms in any order, bit for bit: its children's scores
+/// plus the weights of the features it adds, or dotFeatures over its
+/// feature vector.
+constexpr int WeightGridBits = 32;
+constexpr double ExactScoreBound = 0x1p21;
+
+/// \p W rounded to the nearest multiple of 2^-WeightGridBits (ties to even).
+double gridWeight(double W);
 
 /// Feature-id layout derived from a grammar.
 class FeatureSpace {

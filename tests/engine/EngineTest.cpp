@@ -302,9 +302,35 @@ TEST(EngineStress, ManyConcurrentJobsFromManyClients) {
   EXPECT_EQ(S.TasksRun + S.TasksSkipped,
             static_cast<uint64_t>(Clients * JobsPerClient * 2));
   EXPECT_LE(S.TasksStopped, S.TasksRun);
-  // The same two sketches repeat across every job, so the approximation
-  // memo must be doing real sharing by the end.
-  EXPECT_GT(S.ApproxStoreHits, 0u);
+
+  // Whether the stress jobs' unconstrained tasks built approximations
+  // before the first answer cancelled them is a race. A job submitted
+  // after an identical one has completed is not: it looks up exactly the
+  // approximations the first one stored, so the memo must serve it.
+  auto OpenJob = [&E] {
+    JobRequest R;
+    R.Sketches = {Sketch::unconstrained()};
+    R.E = E;
+    R.TopK = 1;
+    R.BudgetMs = 20000;
+    return R;
+  };
+  ASSERT_TRUE(Eng.submit(OpenJob())->wait().solved());
+  const uint64_t HitsBefore = Eng.snapshot().ApproxStoreHits;
+  ASSERT_TRUE(Eng.submit(OpenJob())->wait().solved());
+  EXPECT_GT(Eng.snapshot().ApproxStoreHits, HitsBefore);
+}
+
+TEST(EngineAnswers, DedupKeysOnFullIdentityNotHash) {
+  // Every answer collides under a constant hash. A set keyed by the hash
+  // alone would drop the second regex as a duplicate of the first; keyed
+  // by the regex itself, distinct answers stay distinct and only a
+  // structurally equal one (a distinct object) is a duplicate.
+  AnswerSet Seen(0, AnswerHash{[](const RegexPtr &) -> size_t { return 42; }});
+  EXPECT_TRUE(Seen.insert(parseRegex("Repeat(<num>,2)")).second);
+  EXPECT_TRUE(Seen.insert(parseRegex("Repeat(<let>,2)")).second);
+  EXPECT_FALSE(Seen.insert(parseRegex("Repeat(<num>,2)")).second);
+  EXPECT_EQ(Seen.size(), 2u);
 }
 
 TEST(EngineEviction, TinyCacheCapsLeaveDeterministicResultsUnchanged) {

@@ -4,17 +4,23 @@
 // the hash only picks a bucket, so under a constant hash distinct items
 // stay distinct and equal items still merge (best score wins). The cell
 // builder's rejection threshold counts each identity once and never beats
-// a tie.
+// a tie, and its end-of-cell image check wants every touched bucket over
+// the beam with a cut strictly above the images dropped there. Chart
+// scores on the weight grid are exact sums, in any order.
 //
 //===----------------------------------------------------------------------===//
 
 #include "nlp/ChartParser.h"
 
+#include "data/StackOverflowSet.h"
+#include "nlp/SemanticParser.h"
 #include "regex/Parser.h"
+#include "support/Hash.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 using namespace regel;
 using namespace regel::nlp;
@@ -120,9 +126,10 @@ TEST(CellBuilder, AReplacementDoesNotTakeASecondPlace) {
 
 TEST(CellBuilder, AFullBucketDoesNotMakeItsImagesBucketFull) {
   // A program beaten in its own full bucket may still place its unary
-  // image (here a sketch) in a bucket that has room; the parser drops an
-  // offer only when every image's bucket is full() and beats it too
-  // (ChartRejection.NarrowBeams exercises that on whole parses).
+  // image (here a sketch) in a bucket that has room. The parser drops it
+  // all the same, and imagesBeaten() sends the cell to a rebuild unless
+  // the sketch bucket ends up beating the image (ChartRejection.NarrowBeams
+  // exercises that on whole parses).
   CellBuilder Builder;
   ChartCell Cell;
   Builder.start(Cell, /*BeamPerCat=*/2);
@@ -167,6 +174,68 @@ TEST(CellBuilder, OnlyTiesAmongItemsAfterADropAreLate) {
   Builder.add(item(CatProgram, re("<let>"), 1.0));
   EXPECT_FALSE(Builder.lateTie(CatProgram));
   Builder.finish();
+}
+
+TEST(CellBuilder, ImagesBeatenWantsEveryTouchedBucketToCutItsImages) {
+  CellBuilder Builder;
+  ChartCell Cell;
+  Builder.start(Cell, /*BeamPerCat=*/2);
+  for (double Score : {3.0, 2.0, 1.0})
+    Builder.add(item(CatInt, SemValue::intval(static_cast<int>(Score)),
+                     Score));
+  Builder.add(item(CatSketch, SemValue::sketch(sk("<num>")), 5.0));
+  Builder.add(item(CatSketch, SemValue::sketch(sk("<let>")), 4.0));
+  // Nothing dropped yet; then an image below the integers' cut of 2. The
+  // untouched sketch and program buckets are not checked.
+  EXPECT_TRUE(Builder.imagesBeaten());
+  const uint32_t Stamp = Builder.stampDrop();
+  Builder.rejected(CatInt, 1.5, Stamp);
+  EXPECT_TRUE(Builder.imagesBeaten());
+  // A bucket at exactly BeamPerCat items keeps any image it receives.
+  Builder.rejected(CatSketch, 0.0, Stamp);
+  EXPECT_FALSE(Builder.imagesBeaten());
+  Builder.add(item(CatSketch, SemValue::sketch(sk("<cap>")), 3.0));
+  EXPECT_TRUE(Builder.imagesBeaten());
+  // An image tying with the cut may win the stable sort's tie.
+  Builder.rejected(CatInt, 2.0, Builder.stampDrop());
+  EXPECT_FALSE(Builder.imagesBeaten());
+  Builder.finish();
+}
+
+TEST(ChartScores, GridScoresAreExactSumsInAnyOrder) {
+  // Weights off the grid: parseChart rounds them itself. Every root's
+  // score is then the weighted sum of its features on the grid, bit for
+  // bit, summed forwards or backwards.
+  SemanticParser P;
+  std::vector<double> Weights = P.weights();
+  uint64_t State = 7;
+  for (double &W : Weights) {
+    State = mix64(State);
+    W += static_cast<double>(State >> 11) * 0x1.0p-53 - 0.5;
+  }
+  std::vector<double> Grid = Weights;
+  for (double &W : Grid)
+    W = gridWeight(W);
+  auto Bits = [](double D) {
+    uint64_t U;
+    std::memcpy(&U, &D, sizeof(U));
+    return U;
+  };
+  const std::vector<data::Benchmark> Set = data::stackOverflowSet();
+  for (size_t I = 0; I < 6 && I < Set.size(); ++I) {
+    std::vector<Derivation> Roots = parseChart(
+        P.grammar(), P.featureSpace(), tokenize(Set[I].Description), Weights);
+    ASSERT_FALSE(Roots.empty()) << Set[I].Description;
+    for (const Derivation &D : Roots) {
+      double Forward = 0, Backward = 0;
+      for (auto It = D.Features.begin(); It != D.Features.end(); ++It)
+        Forward += Grid[It->first] * It->second;
+      for (auto It = D.Features.rbegin(); It != D.Features.rend(); ++It)
+        Backward += Grid[It->first] * It->second;
+      EXPECT_EQ(Bits(Forward), Bits(D.Score)) << Set[I].Description;
+      EXPECT_EQ(Bits(Backward), Bits(D.Score)) << Set[I].Description;
+    }
+  }
 }
 
 TEST(SemValue, EqualityIsStructural) {

@@ -8,11 +8,14 @@
 // Weights: the untrained priors, the DeepRegex-trained model the benches
 // serve, and eight seeded random vectors, three of them on a coarse grid
 // so that exact score ties (which the beam breaks by arrival order) are
-// everywhere. Descriptions: all StackOverflow ones and the first 150 of
+// everywhere. Each is rounded to the 2^-32 grid parseChart scores on
+// before both charts see it (the coarse vectors are already on it).
+// Descriptions: all StackOverflow ones and the first 150 of
 // deepRegexSet(400, 1); each random vector takes half of the DeepRegex
 // ones and an eighth of the StackOverflow ones, rotating, so every
-// description meets at least one. A few narrow beams stress the unary
-// chain test, where a full bucket meets a target that still has room.
+// description meets at least one. A few narrow beams stress the
+// end-of-cell image check, where a full bucket meets a target that still
+// has room.
 //
 //===----------------------------------------------------------------------===//
 
@@ -66,10 +69,14 @@ std::vector<std::string> deepRegex150() {
 }
 
 /// Compares both charts on every description, four threads at a time
-/// (the parser is const and thread-safe). Returns the differing ones.
+/// (the parser is const and thread-safe), under \p P's weights rounded to
+/// the grid parseChart scores on. Returns the differing ones.
 std::vector<std::string> differing(const SemanticParser &P,
                                    const std::vector<std::string> &Descs,
                                    const ParserConfig &Cfg = ParserConfig()) {
+  std::vector<double> Weights = P.weights();
+  for (double &W : Weights)
+    W = gridWeight(W);
   std::vector<std::string> Diff(Descs.size());
   std::atomic<size_t> Next{0};
   auto Work = [&] {
@@ -77,9 +84,9 @@ std::vector<std::string> differing(const SemanticParser &P,
       std::vector<Token> Tokens = tokenize(Descs[I]);
       std::string Want =
           render(reference::parseChart(P.grammar(), P.featureSpace(), Tokens,
-                                       P.weights(), Cfg));
+                                       Weights, Cfg));
       std::string Got = render(parseChart(P.grammar(), P.featureSpace(),
-                                          Tokens, P.weights(), Cfg));
+                                          Tokens, Weights, Cfg));
       if (Got != Want)
         Diff[I] = Descs[I];
     }

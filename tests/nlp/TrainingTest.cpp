@@ -51,18 +51,21 @@ uint64_t weightsDigest(const std::vector<double> &Weights) {
 // gradient from their feature vectors), so these digests pin the chart's
 // full output along every step of two training runs: the tiny corpus, and
 // the DeepRegex recipe the benches serve (TrainedParser.h).
-// They were taken from the chart parser before early rejection.
+// They were taken when chart scores moved onto the 2^-32 weight grid
+// (Features.h): the DeepRegex run still reaches 203 and ranks 99 first,
+// and its trained weights give the same top-10 lists, to 1e-6, parsed on
+// or off the grid.
 TEST(Training, WeightsDigestIsPinned) {
   {
     SemanticParser P;
     TrainConfig Cfg;
     Cfg.Epochs = 5;
     trainParser(P, tinyCorpus(), Cfg);
-    EXPECT_EQ(weightsDigest(P.weights()), 0x0ea42967ece248bdull);
+    EXPECT_EQ(weightsDigest(P.weights()), 0x7474c0f35a7f1059ull);
   }
   {
     const fixtures::TrainedParser &T = fixtures::deepRegexTrained();
-    EXPECT_EQ(weightsDigest(T.Parser.weights()), 0xdcb68644e54a1cd6ull);
+    EXPECT_EQ(weightsDigest(T.Parser.weights()), 0x217af2291deaa61cull);
     EXPECT_EQ(T.Report.Reachable, 203u);
     EXPECT_EQ(T.Report.Top1Correct, 99u);
   }
